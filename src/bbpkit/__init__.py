@@ -12,7 +12,7 @@ from .bigmath import BigRat, FixReal, fix_add, fix_mul, powmod
 from .pformula import PFormula, PHeader, parse_p, serialize_p, canonicalize, stretch, rebase, align, combine, evaluate
 from .generator import LiPoint, period, generate, li_series_header
 from . import reference
-from .extractor import ExtractRequest, ExtractResult, extract, digit_window, to_extractable
+from .extractor import ExtractRequest, ExtractResult, extract, digit_window
 from .relations import RelationResult, PslqReport, certify_zero, pslq
 from .catalog import Catalog, IdentityRecord, LinearExpr, load_catalog, default_catalog, verify, derive_bbp, parse_expr
 
@@ -43,7 +43,6 @@ __all__ = [
     "ExtractResult",
     "extract",
     "digit_window",
-    "to_extractable",
     "RelationResult",
     "PslqReport",
     "certify_zero",

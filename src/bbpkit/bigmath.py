@@ -21,17 +21,12 @@ BigRat = Fraction
 __all__ = [
     "BigRat",
     "FixReal",
-    "FIXED_WIDTH_MODULUS_MAX",
     "fix_add",
     "fix_mul",
     "powmod",
     "tdiv",
     "ceil_div",
 ]
-
-# Largest modulus whose square still fits in a signed 64-bit word, so the
-# fixed-width path never needs more than one word per product.
-FIXED_WIDTH_MODULUS_MAX = isqrt(2**63 - 1)
 
 
 def tdiv(a: int, b: int) -> int:
@@ -45,42 +40,16 @@ def ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _powmod_fixed(base: int, exp: int, modulus: int) -> int:
-    if modulus > FIXED_WIDTH_MODULUS_MAX:
-        raise ValueError("modulus too large for the fixed-width path")
-    result = 1 % modulus
-    b = base % modulus
-    e = exp
-    while e:
-        if e & 1:
-            result = (result * b) % modulus
-        b = (b * b) % modulus
-        e >>= 1
-    return result
+def powmod(base: int, exp: int, modulus: int) -> int:
+    """base**exp mod modulus, by builtin three-argument ``pow``.
 
-
-def _powmod_big(base: int, exp: int, modulus: int) -> int:
-    return pow(base, exp, modulus)
-
-
-def powmod(base: int, exp: int, modulus: int, path: str | None = None) -> int:
-    """base**exp mod modulus by binary exponentiation.
-
-    Dispatches to a fixed-width loop when the modulus squares within a native
-    word and to the arbitrary-precision path otherwise; ``path`` may force
-    ``"fixed"`` or ``"big"`` (both give identical results).
+    Hot loops call ``pow`` directly; this wrapper only adds argument checks.
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
     if exp < 0:
         raise ValueError("exponent must be non-negative")
-    if path is None:
-        path = "fixed" if modulus <= FIXED_WIDTH_MODULUS_MAX else "big"
-    if path == "fixed":
-        return _powmod_fixed(base, exp, modulus)
-    if path == "big":
-        return _powmod_big(base, exp, modulus)
-    raise ValueError(f"unknown powmod path {path!r}")
+    return pow(base, exp, modulus)
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from typing import Iterable, NamedTuple, Union
 
@@ -124,8 +125,10 @@ def _parse_rational(text: str) -> Fraction:
             sign = -sign
         text = text[1:].strip()
     if "/" in text:
-        num, den = text.split("/")
-        return sign * Fraction(_int_pow(num.strip()), _int_pow(den.strip()))
+        num, den = (_int_pow(part.strip()) for part in text.split("/"))
+        if den == 0:
+            raise CatalogError(f"zero denominator in {text!r}")
+        return sign * Fraction(num, den)
     return sign * Fraction(_int_pow(text))
 
 
@@ -365,7 +368,9 @@ def load_catalog(path: str) -> Catalog:
         return _parse_catalog_text(fh.read(), path)
 
 
+@cache
 def default_catalog() -> Catalog:
+    """The packaged catalog, parsed once per process (every part is frozen)."""
     data = resources.files("bbpkit").joinpath("data/catalog.txt").read_text("utf-8")
     return _parse_catalog_text(data, "<packaged catalog>")
 

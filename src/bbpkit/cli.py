@@ -23,7 +23,7 @@ from .catalog import (
     parse_expr,
     verify,
 )
-from .extractor import ExtractRequest, extract, to_extractable
+from .extractor import ExtractRequest, extract
 from .generator import generate, parse_li_point, period
 from .pformula import PFormula, combine, parse_p, serialize_p
 from .relations import PrecisionExhausted, pslq
@@ -124,8 +124,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_digits(args: argparse.Namespace) -> int:
-    formula = to_extractable(_resolve_formula(args))
-    result = extract(ExtractRequest(formula, args.pos, args.count, args.guard))
+    result = extract(ExtractRequest(_resolve_formula(args), args.pos, args.count, args.guard))
     if args.format == "json-lines":
         print(json.dumps({"pos": args.pos, "digits": result.digits,
                           "confidence_bits": result.confidence_bits}))

@@ -157,8 +157,10 @@ def _scan_int(sc: _Scanner) -> int:
 def _scan_rational(sc: _Scanner) -> Fraction:
     num = _scan_int(sc)
     if sc.peek() == "/":
-        sc.expect("/")
+        _, at = sc.next()
         den = _scan_int(sc)
+        if den == 0:
+            raise ParseError("zero denominator", at)
         return Fraction(num, den)
     return Fraction(num)
 

@@ -11,7 +11,7 @@ import pytest
 
 from bbpkit.catalog import bits_for_digits, default_catalog, derive_bbp, verify
 from bbpkit.cli import derive_minimal
-from bbpkit.extractor import ExtractRequest, digit_window, extract, to_extractable
+from bbpkit.extractor import ExtractRequest, digit_window, extract
 from bbpkit.generator import LiPoint, generate, period
 from bbpkit.pformula import PFormula, PHeader, canonicalize, evaluate
 from bbpkit.reference import constant, const_value, ConstMonomial, hurwitz_zeta, li_point_value
@@ -131,7 +131,7 @@ def test_criterion_4_zero_relations():
 def test_criterion_5_extraction_consistency():
     """Extraction agrees with the evaluator window at positions 0, 4e3, 4e4,
     and the 4e4 extraction finishes within 60 seconds."""
-    zeta3 = to_extractable(derive_minimal(CATALOG.get("deg3-zeta3-2e12")))
+    zeta3 = derive_minimal(CATALOG.get("deg3-zeta3-2e12"))
     pi2 = canonicalize(CATALOG.get("table-pi2-2e60").rhs.terms[0][1])
     for name, formula in (("zeta3-2e12", zeta3), ("pi2-2e60", pi2)):
         big_eval_bits = 40_000 + 32 + 96

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bbpkit.bigmath import (
-    FIXED_WIDTH_MODULUS_MAX,
     FixReal,
     ceil_div,
     fix_add,
@@ -43,8 +42,9 @@ def test_powmod_zero_exponent():
 
 
 def test_powmod_cross_path_large():
-    m = 999999937
-    assert powmod(2, 10**6, m, "fixed") == powmod(2, 10**6, m, "big")
+    # the wrapper and builtin pow agree on large exponents, small and wide moduli
+    for m in (999999937, (1 << 89) - 1):
+        assert powmod(2, 10**6, m) == pow(2, 10**6, m)
 
 
 def test_powmod_rejects_bad_inputs():
@@ -52,43 +52,29 @@ def test_powmod_rejects_bad_inputs():
         powmod(2, 3, 0)
     with pytest.raises(ValueError):
         powmod(2, -1, 5)
-    with pytest.raises(ValueError):
-        powmod(2, 3, 5, "sideways")
 
 
 def test_fixed_width_threshold_is_pinned():
-    # the boundary is exactly the largest modulus whose square fits 2^63 - 1
-    assert FIXED_WIDTH_MODULUS_MAX == isqrt(2**63 - 1)
-    assert FIXED_WIDTH_MODULUS_MAX**2 <= 2**63 - 1
-    assert (FIXED_WIDTH_MODULUS_MAX + 1) ** 2 > 2**63 - 1
-    for m in (FIXED_WIDTH_MODULUS_MAX - 1, FIXED_WIDTH_MODULUS_MAX):
-        assert powmod(3, 12345, m, "fixed") == powmod(3, 12345, m, "big")
-    # just past the boundary only the big path applies, and dispatch picks it
-    m = FIXED_WIDTH_MODULUS_MAX + 1
-    assert powmod(3, 12345, m) == pow(3, 12345, m)
-
-
-def test_powmod_fixed_path_rejects_oversized_modulus():
-    # forcing the path bypasses dispatch, so the path itself must complain
-    with pytest.raises(ValueError):
-        powmod(2, 3, FIXED_WIDTH_MODULUS_MAX * 2, "fixed")
+    # the largest modulus whose square fits a signed 64-bit word: powmod stays
+    # exact just below, at and past it, and at twice it
+    word = isqrt(2**63 - 1)
+    assert word**2 <= 2**63 - 1 < (word + 1) ** 2
+    for m in (word - 1, word, word + 1, 2 * word):
+        assert powmod(3, 12345, m) == pow(3, 12345, m)
 
 
 def test_powmod_cross_path_random_sweep():
-    # both paths agree on triples spanning the fixed/big boundary
+    # powmod matches builtin pow on triples spanning the 64-bit word boundary
+    word = isqrt(2**63 - 1)
     rng = random.Random(20260808)
     for _ in range(10_000):
         if rng.random() < 0.5:
-            modulus = rng.randrange(1, FIXED_WIDTH_MODULUS_MAX)
+            modulus = rng.randrange(1, word)
         else:
-            modulus = rng.randrange(FIXED_WIDTH_MODULUS_MAX // 2, 1 << 80)
+            modulus = rng.randrange(word // 2, 1 << 80)
         base = rng.randrange(-(1 << 40), 1 << 40)
         exp = rng.randrange(0, 1 << 24)
-        small = powmod(base, exp, modulus, "fixed") if modulus <= FIXED_WIDTH_MODULUS_MAX else None
-        big = powmod(base, exp, modulus, "big")
-        assert big == pow(base, exp, modulus)
-        if small is not None:
-            assert small == big
+        assert powmod(base, exp, modulus) == pow(base, exp, modulus)
 
 
 # -- FixReal -----------------------------------------------------------------

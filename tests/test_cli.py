@@ -112,6 +112,37 @@ def test_unknown_record_exit_code(capsys):
     assert code == 2
 
 
+def test_digits_zero_denominator_exit_code(capsys):
+    code, out, err = run(capsys, "digits", "--formula", "1/0 * P(1, 2^1, 1, [1])",
+                         "--pos", "0", "--count", "8")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "zero denominator" in err
+
+
+def test_eval_zero_denominator_exit_code(capsys):
+    code, out, err = run(capsys, "eval", "1/0 * pi", "--digits", "20")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "zero denominator" in err
+
+
+def test_digits_position_over_limit_exit_code(capsys):
+    code, out, err = run(capsys, "digits", "--formula", "P(1, 2^1, 1, [1])",
+                         "--pos", str(10**12), "--count", "8")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "bit position" in err
+
+
+def test_digits_count_and_guard_over_limit_exit_code(capsys):
+    for flags in (("--count", "100000"), ("--count", "8", "--guard", "100000")):
+        code, _, err = run(capsys, "digits", "--formula", "P(1, 2^1, 1, [1])",
+                           "--pos", "0", *flags)
+        assert code == 2
+        assert err.count("\n") == 1
+
+
 def test_argparse_usage_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -3,13 +3,16 @@ import random
 import pytest
 
 from bbpkit.extractor import (
+    MAX_BIT_POS,
+    MAX_GUARD_HEX,
+    MAX_HEX_DIGITS,
     ExtractRequest,
     ExtractionError,
     digit_window,
     extract,
     to_extractable,
 )
-from bbpkit.pformula import FormulaError, parse_p, zero_formula
+from bbpkit.pformula import FormulaError, evaluate, parse_p, stretch, zero_formula
 
 
 TWO_LOG_TWO = parse_p("P(1, 2^1, 1, [1])")
@@ -78,7 +81,6 @@ def test_extract_matches_window_across_the_catalog():
             formula = canonicalize(terms[0][1])
         else:
             formula = derive_minimal(rec)
-        formula = to_extractable(formula)
         positions = sorted(rng.randrange(0, 20_001) for _ in range(2))
         prec = positions[-1] + 32 + 96
         for pos in positions:
@@ -112,38 +114,42 @@ def test_extract_deterministic():
     assert extract(req) == extract(req)
 
 
-def test_extract_paths_agree_with_forced_powmod(monkeypatch):
-    import bbpkit.extractor as ex
-
-    req = ExtractRequest(parse_p("1/4 * P(3, 2^6, 3, [9, 0, -2])"), 900, 8)
-    base = extract(req)
-    for path in ("fixed", "big"):
-        def forced(b, e, m, _p=path):
-            import bbpkit.bigmath as bm
-            if _p == "fixed" and m > bm.FIXED_WIDTH_MODULUS_MAX:
-                return bm.powmod(b, e, m, "big")
-            return bm.powmod(b, e, m, _p)
-
-        monkeypatch.setattr(ex, "powmod", forced)
-        assert extract(req) == base
+def test_extract_odd_prime_denominator_matches_window():
+    # the odd factor joins every modulus; a power-of-two prefactor takes the same path
+    for text, pos in (("1/7 * P(3, 2^6, 3, [9, 0, -2])", 900),
+                      ("1/4 * P(3, 2^6, 3, [9, 0, -2])", 900),
+                      ("1/7 * P(1, 2^1, 1, [1])", 3)):
+        f = parse_p(text)
+        assert extract(ExtractRequest(f, pos, 8)).digits == digit_window(f, pos, 8, pos + 128)
 
 
-def test_extract_rejects_odd_denominator():
+def test_extract_odd_denominator_matches_window():
     f = parse_p("1/6 * P(2, 2^4, 2, [3, -1])")
-    with pytest.raises(ExtractionError):
-        extract(ExtractRequest(f, 0, 8))
+    for pos in (0, 1, 100, 777):
+        assert extract(ExtractRequest(f, pos, 8)).digits == digit_window(f, pos, 8, pos + 128)
 
 
-def test_to_extractable_clears_odd_denominator():
-    f = parse_p("1/6 * P(2, 2^4, 2, [3, -1])")
-    g = to_extractable(f)
+def test_extract_folds_odd_denominator_into_modulus():
+    # stretching by the odd factor clears the denominator at unchanged value;
+    # extraction must give the same digits with and without that detour
+    f = parse_p("-5/48 * P(3, 2^6, 3, [9, 0, -2])")
+    g = stretch(f, 3)
     assert g.pre.denominator & (g.pre.denominator - 1) == 0
-    # value unchanged
-    from bbpkit.pformula import evaluate
-
     d = evaluate(f, 200) - evaluate(g, 200)
     assert abs(d.value_fraction()) <= d.error_fraction()
-    assert extract(ExtractRequest(g, 100, 8)).digits == digit_window(g, 100, 8, 300)
+    for pos in (0, 100, 1500):
+        want = digit_window(f, pos, 8, pos + 128)
+        assert extract(ExtractRequest(f, pos, 8)).digits == want
+        assert extract(ExtractRequest(g, pos, 8)).digits == want
+
+
+def test_tiny_negative_value_sign_is_certified():
+    # |value| = 2^-199 log 2 is far below a 64-bit sign probe; the sign must be
+    # certified at higher precision, not taken as positive
+    f = parse_p("-1/2^200 * P(1, 2^1, 1, [1])")
+    want = digit_window(f, 200, 8, 400)
+    assert want == "62E42FEF"
+    assert extract(ExtractRequest(f, 200, 8)).digits == want
 
 
 def test_to_extractable_rejects_root3():
@@ -165,3 +171,12 @@ def test_request_validation():
         ExtractRequest(TWO_LOG_TWO, -1, 8)
     with pytest.raises(ExtractionError):
         ExtractRequest(TWO_LOG_TWO, 0, 0)
+    with pytest.raises(ExtractionError):
+        ExtractRequest(TWO_LOG_TWO, 0, 8, 0)
+    ExtractRequest(TWO_LOG_TWO, MAX_BIT_POS, MAX_HEX_DIGITS, MAX_GUARD_HEX)
+    with pytest.raises(ExtractionError):
+        ExtractRequest(TWO_LOG_TWO, MAX_BIT_POS + 1, 8)
+    with pytest.raises(ExtractionError):
+        ExtractRequest(TWO_LOG_TWO, 0, MAX_HEX_DIGITS + 1)
+    with pytest.raises(ExtractionError):
+        ExtractRequest(TWO_LOG_TWO, 0, 8, MAX_GUARD_HEX + 1)
