@@ -56,10 +56,19 @@ def test_powmod_rejects_bad_inputs():
 
 def test_fixed_width_threshold_is_pinned():
     # the largest modulus whose square fits a signed 64-bit word: powmod stays
-    # exact just below, at and past it, and at twice it
+    # exact just below, at and past it
     word = isqrt(2**63 - 1)
     assert word**2 <= 2**63 - 1 < (word + 1) ** 2
-    for m in (word - 1, word, word + 1, 2 * word):
+    for m in (word - 1, word, word + 1):
+        assert powmod(3, 12345, m) == pow(3, 12345, m)
+
+
+def test_powmod_exact_past_word_limit():
+    # a modulus twice the 64-bit word limit has no separate path to refuse it:
+    # powmod gives the exact residue there and far beyond
+    word = isqrt(2**63 - 1)
+    assert powmod(2, 3, word * 2) == 8
+    for m in (2 * word, 2 * word + 1, (1 << 127) - 1):
         assert powmod(3, 12345, m) == pow(3, 12345, m)
 
 
