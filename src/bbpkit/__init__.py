@@ -8,7 +8,7 @@ PSLQ integer-relation search, and a catalog of classical polylogarithm
 identities with verification and derivation runners.
 """
 
-from .bigmath import BigRat, FixReal, fix_add, fix_mul, powmod
+from .bigmath import FixReal, powmod
 from .pformula import PFormula, PHeader, parse_p, serialize_p, canonicalize, stretch, rebase, align, combine, evaluate
 from .generator import LiPoint, period, generate, li_series_header
 from . import reference
@@ -19,10 +19,7 @@ from .catalog import Catalog, IdentityRecord, LinearExpr, load_catalog, default_
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRat",
     "FixReal",
-    "fix_add",
-    "fix_mul",
     "powmod",
     "PFormula",
     "PHeader",

@@ -1,6 +1,6 @@
 """Exact big-integer, big-rational and fixed-point real arithmetic.
 
-Rationals are plain ``fractions.Fraction`` values (aliased ``BigRat``).
+Rationals are plain ``fractions.Fraction`` values.
 Fixed-point reals carry an integer mantissa, a binary scale and a certified
 error bound in units of the last place; every operation propagates that bound
 soundly (the bound may grow, it never understates).  All values are immutable
@@ -16,13 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-BigRat = Fraction
-
 __all__ = [
-    "BigRat",
     "FixReal",
-    "fix_add",
-    "fix_mul",
     "powmod",
     "tdiv",
     "ceil_div",
@@ -195,14 +190,6 @@ class FixReal:
             raise ValueError("not enough fractional bits for requested window")
         window = (abs(self.mantissa) >> drop) & ((1 << (4 * hex_count)) - 1)
         return f"{window:0{hex_count}X}"
-
-
-def fix_add(a: FixReal, b: FixReal) -> FixReal:
-    return a + b
-
-
-def fix_mul(a: FixReal, b: FixReal, out_bits: int) -> FixReal:
-    return a.mul(b, out_bits)
 
 
 def fix_sqrt_int(n: int, frac_bits: int) -> FixReal:

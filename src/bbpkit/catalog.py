@@ -10,10 +10,12 @@ The catalog file is record-per-block structured text:
     lhs = "1 * G"
     rhs = "3 * ImLi(2, 1, 3/4) + -1 * ImLi(2, 3, 1/4)"
 
-Expression grammar: terms joined by + (or -), each a rational coefficient
-times either a product of constant atoms (pi, log2, zeta3, zeta5, G, Cl2pi3,
-Cl4pi2, with ^ powers on pi/log2), a polylog point (ReLi/ImLi/ReLi0 form), or
-an inline P(...) formula.  Rationals accept the 2^e shorthand.
+Expression grammar (the tokenizer and grammar of pformula and generator):
+terms joined by + or -, each a product of rationals and either constant atoms
+(pi and log2 with ^ powers, at most one of zeta3, zeta5, G, Cl2pi3, Cl4pi2),
+one polylog point (ReLi/ImLi/ReLi0 form) or one inline [sqrt3 *] P(...)
+formula.  The rationals before a P(...) are its prefactor, and that term's
+coefficient is 1.  Integers accept the a^e shorthand.
 """
 from __future__ import annotations
 
@@ -25,8 +27,9 @@ from importlib import resources
 from typing import Iterable, NamedTuple, Union
 
 from .bigmath import FixReal
-from .generator import LiPoint, generate, parse_li_point, period
-from .pformula import PFormula, PHeader, combine, evaluate, parse_p, rebase, stretch
+from .generator import LiPoint, generate, period, scan_li_point
+from .pformula import (PFormula, PHeader, Scanner, combine, evaluate, rebase, scan_p,
+                       scan_rational, stretch)
 from .reference import ConstMonomial, const_value, li_point_value
 
 __all__ = [
@@ -49,15 +52,8 @@ Term = Union[PFormula, LiPoint, ConstMonomial]
 
 KINDS = ("generator", "bbp_ready", "zero_relation", "printed_formula")
 
-_ATOM_NAMES = {
-    "pi": ("pi", None),
-    "log2": ("log2", None),
-    "zeta3": (None, "zeta3"),
-    "zeta5": (None, "zeta5"),
-    "G": (None, "catalan"),
-    "Cl2pi3": (None, "cl2_pi3"),
-    "Cl4pi2": (None, "cl4_pi2"),
-}
+_SPECIAL_ATOMS = {"zeta3": "zeta3", "zeta5": "zeta5", "G": "catalan", "Cl2pi3": "cl2_pi3",
+                  "Cl4pi2": "cl4_pi2"}
 
 
 class CatalogError(ValueError):
@@ -107,119 +103,57 @@ def serialize_expr(expr: LinearExpr) -> str:
 # expression parsing
 # ---------------------------------------------------------------------------
 
-_RAT = re.compile(r"^[+-]?\s*\d+(?:\^\d+)?(?:\s*/\s*\d+(?:\^\d+)?)?$")
-
-
-def _int_pow(text: str) -> int:
-    if "^" in text:
-        base, exp = text.split("^")
-        return int(base) ** int(exp)
-    return int(text)
-
-
-def _parse_rational(text: str) -> Fraction:
-    text = text.strip()
-    sign = 1
-    while text and text[0] in "+-":
-        if text[0] == "-":
-            sign = -sign
-        text = text[1:].strip()
-    if "/" in text:
-        num, den = (_int_pow(part.strip()) for part in text.split("/"))
-        if den == 0:
-            raise CatalogError(f"zero denominator in {text!r}")
-        return sign * Fraction(num, den)
-    return sign * Fraction(_int_pow(text))
-
-
-def _split_terms(text: str) -> list[str]:
-    chunks = []
-    depth = 0
-    start = 0
-    prev_significant = ""
-    for i, ch in enumerate(text):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and i > start:
-            if prev_significant not in ("", "*", "/", "^", ",", "+", "-", "(", "["):
-                chunks.append(text[start:i])
-                start = i if ch == "-" else i + 1  # keep '-' as the term's sign
-        if not ch.isspace():
-            prev_significant = ch
-    chunks.append(text[start:])
-    return [c.strip() for c in chunks if c.strip()]
-
-
-def _parse_monomial_factors(factors: list[str], where: str) -> ConstMonomial:
-    pi_pow = 0
-    log2_pow = 0
-    atom = "one"
-    for f in factors:
-        name, _, power = f.partition("^")
-        name = name.strip()
-        exp = int(power) if power else 1
-        if name == "1":
-            continue
-        if name not in _ATOM_NAMES:
-            raise CatalogError(f"unknown constant atom {name!r} in {where!r}")
-        base, special = _ATOM_NAMES[name]
-        if base == "pi":
-            pi_pow += exp
-        elif base == "log2":
-            log2_pow += exp
-        else:
-            if exp != 1:
-                raise CatalogError(f"atom {name!r} does not take powers in {where!r}")
-            if atom != "one":
-                raise CatalogError(f"more than one special atom in {where!r}")
-            atom = special
-    return ConstMonomial(pi_pow, log2_pow, atom)
-
-
-def _parse_term(chunk: str) -> tuple[Fraction, Term]:
-    text = chunk.strip()
-    if "P(" in text:
-        p = parse_p(text)
-        return Fraction(1), p
-    # split off a leading rational coefficient if present
-    factors = _split_on_star(text)
+def _scan_term(sc: Scanner) -> tuple[Fraction, Term]:
+    """``[+-]... factor (* factor)...``: rationals times one constant monomial,
+    one polylog point or one P(...); the rationals before a P(...) are its
+    prefactor, and that term's coefficient is 1."""
     coeff = Fraction(1)
-    if factors and _RAT.match(factors[0]):
-        coeff = _parse_rational(factors[0])
-        factors = factors[1:]
-    if not factors:
-        return coeff, ConstMonomial()
-    li = [f for f in factors if f.startswith(("ReLi", "ImLi"))]
-    if li:
-        if len(factors) != 1:
-            raise CatalogError(f"polylog points cannot be multiplied in {chunk!r}")
-        return coeff, parse_li_point(li[0])
-    return coeff, _parse_monomial_factors(factors, chunk)
-
-
-def _split_on_star(text: str) -> list[str]:
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == "*" and depth == 0:
-            parts.append(text[start:i].strip())
-            start = i + 1
-    parts.append(text[start:].strip())
-    return [p for p in parts if p]
+    while sc.peek() in ("+", "-"):
+        if sc.next() == "-":
+            coeff = -coeff
+    powers = {"pi": 0, "log2": 0}
+    special = "one"
+    point = None
+    while True:
+        tok = sc.peek()
+        alone = point is None and special == "one" and not any(powers.values())
+        if tok in ("P", "sqrt3") and alone:
+            return Fraction(1), scan_p(sc, coeff)
+        if tok in ("ReLi", "ImLi", "ReLi0") and alone:
+            point = scan_li_point(sc)
+        elif tok in powers and point is None:
+            sc.next()
+            if sc.accept("^"):
+                if not sc.peek().isdigit():
+                    raise sc.fail("expected a power")
+                powers[tok] += int(sc.next())
+            else:
+                powers[tok] += 1
+        elif tok in _SPECIAL_ATOMS and point is None and special == "one":
+            sc.next()
+            special = _SPECIAL_ATOMS[tok]
+        elif tok.isdigit() or tok in ("+", "-"):
+            coeff *= scan_rational(sc)
+        else:
+            raise sc.fail("a term is rationals times one constant monomial, "
+                          "one polylog point or one P(...)")
+        if not sc.accept("*"):
+            return coeff, point or ConstMonomial(powers["pi"], powers["log2"], special)
 
 
 def parse_expr(text: str) -> LinearExpr:
-    """Parse the rational-linear-combination grammar into a LinearExpr."""
-    if not text.strip():
-        raise CatalogError("empty expression")
-    terms = [_parse_term(chunk) for chunk in _split_terms(text)]
+    """Parse the rational-linear-combination grammar into a LinearExpr.
+
+    Raises CatalogError, with the position of the offending token.
+    """
+    try:
+        sc = Scanner(text)
+        terms = [_scan_term(sc)]
+        while sc.peek() in ("+", "-"):
+            terms.append(_scan_term(sc))
+        sc.end()
+    except ValueError as exc:
+        raise CatalogError(str(exc)) from None
     return LinearExpr.make(terms)
 
 
@@ -297,7 +231,7 @@ class Catalog:
         for rec in self.records:
             if rec.id == record_id:
                 return rec
-        raise KeyError(record_id)
+        raise CatalogError(f"unknown record id {record_id!r}")
 
 
 _KEY_RE = re.compile(r"^(\w+)\s*=\s*\"(.*)\"\s*$")
@@ -329,7 +263,7 @@ def _parse_catalog_text(text: str, origin: str) -> Catalog:
                 notes=block.get("notes", ""),
                 combo=block.get("combo", ""),
             )
-        except (CatalogError, ValueError) as exc:
+        except ValueError as exc:
             raise CatalogError(
                 f"{origin}:{block_line}: bad record {block.get('id', '?')!r}: {exc}"
             ) from exc
@@ -396,15 +330,18 @@ def verify(record: IdentityRecord, decimal_digits: int = 200) -> VerifyReport:
     return VerifyReport(record.id, residual, passed, decimal_digits)
 
 
-def derive_bbp(record: IdentityRecord, target_header: PHeader, check_digits: int = 60) -> PFormula:
+DERIVE_CHECK_DIGITS = 60  # a derived formula must match its lhs to this many digits
+
+
+def derive_bbp(record: IdentityRecord, target_header: PHeader | None = None) -> PFormula:
     """Run the generate/align/combine pipeline on the record's right side.
 
-    Every rhs term must be a polylog point or an inline formula, and the
-    target header must be reachable from the minimal generated headers by
-    rebase and stretch.  The output value is confirmed against the lhs before
-    returning.
+    Every rhs term must be a polylog point or an inline formula.  With no
+    target header the terms combine on their minimal common header; a target
+    header must be reachable from the minimal generated headers by rebase and
+    stretch.  The output value is confirmed against the lhs before returning.
     """
-    target = PHeader(*target_header)
+    target = None if target_header is None else PHeader(*target_header)
     parts: list[tuple[Fraction, PFormula]] = []
     for coeff, term in record.rhs.terms:
         if isinstance(term, LiPoint):
@@ -415,23 +352,22 @@ def derive_bbp(record: IdentityRecord, target_header: PHeader, check_digits: int
             raise CatalogError(
                 f"record {record.id!r} rhs contains a non-derivable term {term}"
             )
-        if p.degree != target.degree:
-            raise CatalogError(f"degree of {term} does not match target {target}")
-        if target.base_exp % p.base_exp:
-            raise CatalogError(f"target base 2^{target.base_exp} unreachable from {term}")
-        p = rebase(p, target.base_exp // p.base_exp)
-        if target.length % p.length:
-            raise CatalogError(f"target length {target.length} unreachable from {term}")
-        p = stretch(p, target.length // p.length)
+        if target is not None:
+            if p.degree != target.degree:
+                raise CatalogError(f"degree of {term} does not match target {target}")
+            if target.base_exp % p.base_exp:
+                raise CatalogError(f"target base 2^{target.base_exp} unreachable from {term}")
+            p = rebase(p, target.base_exp // p.base_exp)
+            if target.length % p.length:
+                raise CatalogError(f"target length {target.length} unreachable from {term}")
+            p = stretch(p, target.length // p.length)
         parts.append((coeff, p))
     out = combine(parts)
-    if not out.is_zero() and out.header != target:
+    if target is not None and not out.is_zero() and out.header != target:
         raise CatalogError(f"combination landed on {out.header}, wanted {target}")
 
-    bits = bits_for_digits(check_digits)
-    got = evaluate(out, bits)
-    want = evaluate_expr(record.lhs, bits)
-    diff = got - want
-    if not diff.certified_below(Fraction(1, 10 ** (check_digits - 2))):
+    bits = bits_for_digits(DERIVE_CHECK_DIGITS)
+    diff = evaluate(out, bits) - evaluate_expr(record.lhs, bits)
+    if not diff.certified_below(Fraction(1, 10 ** (DERIVE_CHECK_DIGITS - 2))):
         raise CatalogError(f"derived formula for {record.id!r} disagrees with its lhs")
     return out

@@ -10,19 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from functools import cache
 
 from . import catalog as catalog_mod
-from .catalog import (
-    Catalog,
-    CatalogError,
-    IdentityRecord,
-    bits_for_digits,
-    evaluate_expr,
-    parse_expr,
-    verify,
-)
+from .catalog import Catalog, bits_for_digits, derive_bbp, evaluate_expr, parse_expr, verify
 from .extractor import ExtractRequest, extract
 from .generator import generate, parse_li_point, period
 from .pformula import PFormula, combine, parse_p, serialize_p
@@ -33,78 +24,52 @@ try:  # very long integers in reports should never trip the str() guard
 except (AttributeError, ValueError):
     pass
 
-__all__ = ["CliConfig", "main"]
+__all__ = ["main", "MAX_DIGITS", "MAX_BITS"]
 
-
-@dataclass(frozen=True)
-class CliConfig:
-    precision_digits: int = 200
-    catalog_path: str = ""
-    threads: int = 0  # 0 = auto
-
-    def __post_init__(self) -> None:
-        if self.precision_digits < 16:
-            raise ValueError("precision must be at least 16 digits")
+MAX_DIGITS = 100_000  # largest --digits
+MAX_BITS = bits_for_digits(MAX_DIGITS)  # largest --bits
 
 
 class _UsageError(Exception):
     pass
 
 
-def _add_precision_flags(sub: argparse.ArgumentParser) -> None:
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--digits", type=int, default=None, help="decimal digits of precision")
-    group.add_argument("--bits", type=int, default=None, help="binary precision (overrides --digits)")
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--catalog", default=None, help="path to an alternate catalog file")
-    sub.add_argument("--threads", type=int, default=0, help="worker threads (0 = auto)")
-    sub.add_argument(
-        "--format", choices=("text", "json-lines"), default="text", help="output format"
-    )
+def _add_shared(sub: argparse.ArgumentParser, *flags: str) -> None:
+    """Attach the shared flags a subcommand reads: catalog, format, precision."""
+    if "catalog" in flags:
+        sub.add_argument("--catalog", default=None, help="path to an alternate catalog file")
+    if "format" in flags:
+        sub.add_argument("--format", choices=("text", "json-lines"), default="text",
+                         help="output format")
+    if "precision" in flags:
+        group = sub.add_mutually_exclusive_group()
+        group.add_argument("--digits", type=int, default=None,
+                           help=f"decimal digits of precision (16 to {MAX_DIGITS})")
+        group.add_argument("--bits", type=int, default=None,
+                           help=f"binary precision (at most {MAX_BITS})")
 
 
 def _resolve_bits(args: argparse.Namespace, default_digits: int = 200) -> tuple[int, int]:
     if args.bits is not None:
-        digits = args.digits if args.digits is not None else max(args.bits * 3 // 10, 16)
-    else:
-        digits = args.digits if args.digits is not None else default_digits
-    if digits < 16:
-        raise _UsageError("precision must be at least 16 digits")
-    bits = args.bits if args.bits is not None else bits_for_digits(digits)
-    return bits, digits
+        if args.bits > MAX_BITS:
+            raise ValueError(f"--bits is limited to {MAX_BITS}")
+        return args.bits, max(args.bits * 3 // 10, 16)
+    digits = args.digits if args.digits is not None else default_digits
+    if not 16 <= digits <= MAX_DIGITS:
+        raise ValueError(f"precision must be 16 to {MAX_DIGITS} digits")
+    return bits_for_digits(digits), digits
 
 
 def _load_catalog(args: argparse.Namespace) -> Catalog:
-    if getattr(args, "catalog", None):
+    if args.catalog:
         return catalog_mod.load_catalog(args.catalog)
     return catalog_mod.default_catalog()
 
 
-def derive_minimal(record: IdentityRecord) -> PFormula:
-    """Combination of the record's rhs on the minimal common header."""
-    from .generator import LiPoint
-
-    parts = []
-    for coeff, term in record.rhs.terms:
-        if isinstance(term, PFormula):
-            parts.append((coeff, term))
-        elif isinstance(term, LiPoint):
-            parts.append((coeff, generate(term, period(term))))
-        else:
-            raise CatalogError(f"record {record.id!r} has a non-derivable term {term}")
-    return combine(parts)
-
-
 def _resolve_formula(args: argparse.Namespace) -> PFormula:
-    if getattr(args, "formula_id", None):
-        record = _load_catalog(args).get(args.formula_id)
-        terms = record.rhs.terms
-        if len(terms) == 1 and isinstance(terms[0][1], PFormula) and terms[0][0] == 1:
-            return terms[0][1]
-        return derive_minimal(record)
-    if getattr(args, "formula", None):
+    if args.formula_id:
+        return derive_bbp(_load_catalog(args).get(args.formula_id))
+    if args.formula:
         return parse_p(args.formula)
     raise _UsageError("provide --formula-id or --formula")
 
@@ -176,14 +141,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
     _, digits = _resolve_bits(args)
-    cfg = CliConfig(digits, args.catalog or "", args.threads)
-    records = sorted(_load_catalog(args), key=lambda r: r.id)
-    workers = cfg.threads if cfg.threads > 0 else 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda r: verify(r, digits), records))
-    else:
-        reports = [verify(r, digits) for r in records]
+    reports = [verify(r, digits) for r in sorted(_load_catalog(args), key=lambda r: r.id)]
     failed = 0
     for report in reports:
         print(_verify_line(report, args.format))
@@ -227,7 +185,9 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args may reuse it."""
     parser = argparse.ArgumentParser(
         prog="bbp",
         description="Exact algebra, certified evaluation, digit extraction and "
@@ -238,8 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("eval", help="evaluate an expression or catalog formula")
     p.add_argument("expr", nargs="?", default=None)
     p.add_argument("--formula-id", default=None)
-    _add_precision_flags(p)
-    _add_common(p)
+    _add_shared(p, "catalog", "precision")
     p.set_defaults(func=_cmd_eval)
 
     p = subs.add_parser("digits", help="extract hex digits at a bit position")
@@ -248,42 +207,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pos", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--guard", type=int, default=8, help="extra guard hex digits")
-    _add_precision_flags(p)
-    _add_common(p)
+    _add_shared(p, "catalog", "format")
     p.set_defaults(func=_cmd_digits)
 
     p = subs.add_parser("gen", help="generate the formula for a polylog point")
     p.add_argument("--point", required=True, help='e.g. "ReLi(1, 1, 3/4)"')
     p.add_argument("--len", type=int, default=None, help="target length (default: period)")
-    _add_common(p)
     p.set_defaults(func=_cmd_gen)
 
     p = subs.add_parser("combine", help="combine inline P(...) terms canonically")
     p.add_argument("--terms", required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_combine)
 
     p = subs.add_parser("verify", help="verify one catalog record")
     p.add_argument("--id", required=True)
-    _add_precision_flags(p)
-    _add_common(p)
+    _add_shared(p, "catalog", "format", "precision")
     p.set_defaults(func=_cmd_verify)
 
     p = subs.add_parser("verify-all", help="verify every catalog record")
-    _add_precision_flags(p)
-    _add_common(p)
+    _add_shared(p, "catalog", "format", "precision")
     p.set_defaults(func=_cmd_verify_all)
 
     p = subs.add_parser("pslq", help="integer-relation search over expressions")
     p.add_argument("--values", required=True, help="semicolon-separated expressions")
     p.add_argument("--max-norm", type=int, default=10**6)
-    _add_precision_flags(p)
-    _add_common(p)
+    _add_shared(p, "precision")
     p.set_defaults(func=_cmd_pslq)
 
     p = subs.add_parser("catalog", help="catalog inspection")
     p.add_argument("action", choices=["list"])
-    _add_common(p)
+    _add_shared(p, "catalog", "format")
     p.set_defaults(func=_cmd_catalog)
 
     return parser
@@ -298,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         print(f"bbp: error: {exc}", file=sys.stderr)
         return 2
-    except (CatalogError, KeyError, ValueError) as exc:
+    except ValueError as exc:
         print(f"bbp: error: {exc}", file=sys.stderr)
         return 2
 

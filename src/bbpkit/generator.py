@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .pformula import PFormula, PHeader, canonicalize, evaluate
+from .pformula import PFormula, PHeader, Scanner, canonicalize, evaluate, scan_int, zero_formula
 
 __all__ = [
     "LiPoint",
@@ -25,6 +25,7 @@ __all__ = [
     "period",
     "generate",
     "li_series_header",
+    "scan_li_point",
     "parse_li_point",
     "serialize_li_point",
 ]
@@ -156,24 +157,38 @@ class LiPoint:
         return serialize_li_point(self)
 
 
+_POINT_PARTS = {"ReLi": "re", "ImLi": "im", "ReLi0": "re"}
+
+
+def scan_li_point(sc: Scanner) -> LiPoint:
+    """``ReLi(s, q, n[/d])``, ``ImLi(s, q, n[/d])`` or ``ReLi0(s, q)``."""
+    if sc.peek() not in _POINT_PARTS:
+        raise sc.fail("expected ReLi, ImLi or ReLi0")
+    at = sc.i
+    head = sc.next()
+    sc.expect("(")
+    degree = scan_int(sc)
+    sc.expect(",")
+    scale_exp = scan_int(sc)
+    ang_num, ang_den = 0, 1
+    if head != "ReLi0":
+        sc.expect(",")
+        ang_num = scan_int(sc)
+        if sc.accept("/"):
+            ang_den = scan_int(sc)
+    sc.expect(")")
+    try:
+        return LiPoint(degree, scale_exp, ang_num, ang_den, _POINT_PARTS[head])
+    except PointError as exc:
+        raise PointError(f"{exc} (at position {sc.position(at)})") from None
+
+
 def parse_li_point(text: str) -> LiPoint:
-    text = text.strip()
-    for head, part, zero in (("ReLi0", "re", True), ("ReLi", "re", False), ("ImLi", "im", False)):
-        if text.startswith(head + "(") and text.endswith(")"):
-            args = [a.strip() for a in text[len(head) + 1 : -1].split(",")]
-            if zero:
-                if len(args) != 2:
-                    raise PointError(f"ReLi0 takes (degree, scale_exp): {text!r}")
-                return LiPoint(int(args[0]), int(args[1]), 0, 1, "re")
-            if len(args) != 3:
-                raise PointError(f"{head} takes (degree, scale_exp, n/d): {text!r}")
-            if "/" in args[2]:
-                n_str, d_str = args[2].split("/")
-                n, d = int(n_str), int(d_str)
-            else:
-                n, d = int(args[2]), 1
-            return LiPoint(int(args[0]), int(args[1]), n, d, part)
-    raise PointError(f"not a polylog point: {text!r}")
+    """Parse one point; raises ParseError or PointError, each with a position."""
+    sc = Scanner(text)
+    pt = scan_li_point(sc)
+    sc.end()
+    return pt
 
 
 def serialize_li_point(pt: LiPoint) -> str:
@@ -242,8 +257,6 @@ def generate(pt: LiPoint, target_len: int, self_check: bool = True) -> PFormula:
         root3 = False
 
     if not any(values):
-        from .pformula import zero_formula
-
         return zero_formula(pt.degree)
 
     den = 1

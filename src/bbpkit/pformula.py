@@ -5,8 +5,9 @@ A formula ``pre * P(s, 2^B, l, A)`` stands for the exactly convergent series
     pre * sum_{k>=0} 2^(-B*k) * sum_{j=1..l} A[j] / (k*l + j)^s
 
 with integer coefficients ``A``, a rational prefactor ``pre`` and a base that
-is always a power of two.  This module covers parsing and serialization of
-the text form, the canonical form (coefficient gcd folded into the prefactor,
+is always a power of two.  This module covers the tokenizer and grammar
+shared by every text form of the package, parsing and serialization of
+formulas, the canonical form (coefficient gcd folded into the prefactor,
 first nonzero coefficient positive), the two value-preserving structural
 transforms (stretch: index dilation; rebase: grouping of consecutive base
 blocks), alignment of several formulas onto one common header, rational
@@ -22,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, lcm
+from math import gcd, lcm, log2
 from typing import NamedTuple, Sequence
 
 from .bigmath import FixReal, fix_sqrt_int, tdiv
@@ -32,6 +33,11 @@ __all__ = [
     "PHeader",
     "ParseError",
     "FormulaError",
+    "MAX_POWER_BITS",
+    "Scanner",
+    "scan_int",
+    "scan_rational",
+    "scan_p",
     "parse_p",
     "serialize_p",
     "canonicalize",
@@ -103,113 +109,145 @@ def zero_formula(degree: int) -> PFormula:
 
 
 # ---------------------------------------------------------------------------
-# text form
+# text form: the one tokenizer and grammar of the expression language
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(sqrt3|\d+|[-+*/,()\[\]^]|P)")
+MAX_POWER_BITS = 1 << 16  # a power a^e longer than this many bits is refused
+
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^,()\[\]]")
+_STRAY = re.compile(r"[^\s0-9A-Za-z_+\-*/^,()\[\]]")
 
 
-class _Scanner:
+class Scanner:
+    """Cursor over the tokens of one text: integers, names and punctuation.
+
+    The text is tokenized up front; the empty token marks its end.  Token
+    positions, needed only by error messages, are found when first asked for.
+    """
+
     def __init__(self, text: str):
+        stray = _STRAY.search(text)
+        if stray:
+            raise ParseError(f"unexpected character {stray.group()!r}", stray.start())
         self.text = text
-        self.pos = 0
-
-    def next(self) -> tuple[str, int]:
-        m = _TOKEN.match(self.text, self.pos)
-        if not m:
-            if self.text[self.pos :].strip() == "":
-                return "", len(self.text)
-            raise ParseError("unexpected character", self.pos)
-        self.pos = m.end()
-        return m.group(1), m.start(1)
+        self.tokens = _TOKEN.findall(text) + [""]
+        self.i = 0
+        self._starts: list[int] | None = None
 
     def peek(self) -> str:
-        save = self.pos
-        tok, _ = self.next()
-        self.pos = save
-        return tok
+        return self.tokens[self.i]
+
+    def next(self) -> str:
+        self.i += 1
+        return self.tokens[self.i - 1]
+
+    def accept(self, want: str) -> bool:
+        if self.tokens[self.i] != want:
+            return False
+        self.i += 1
+        return True
 
     def expect(self, want: str) -> None:
-        tok, at = self.next()
-        if tok != want:
-            raise ParseError(f"expected {want!r}, found {tok!r}", at)
+        if not self.accept(want):
+            raise self.fail(f"expected {want!r}")
+
+    def position(self, index: int) -> int:
+        """Offset in the text of token ``index``."""
+        if self._starts is None:
+            self._starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
+        return self._starts[index]
+
+    def fail(self, message: str) -> ParseError:
+        tok = self.tokens[self.i]
+        return ParseError(f"{message}, found {tok or 'end of input'!r}", self.position(self.i))
+
+    def end(self) -> None:
+        if self.peek():
+            raise self.fail("expected end of input")
 
 
-def _scan_int(sc: _Scanner) -> int:
-    tok, at = sc.next()
+def scan_int(sc: Scanner) -> int:
+    """``[+-]... n [^ e]`` with unsigned ``e``, the one place where a power is evaluated.
+
+    A power whose bit length would exceed MAX_POWER_BITS raises ParseError
+    before it is computed.
+    """
     sign = 1
-    while tok in ("-", "+"):
-        if tok == "-":
+    while sc.peek() in ("+", "-"):
+        if sc.next() == "-":
             sign = -sign
-        tok, at = sc.next()
-    if not tok.isdigit():
-        raise ParseError("expected integer", at)
-    value = int(tok)
-    if sc.peek() == "^":
-        sc.expect("^")
-        exp = _scan_int(sc)
-        if exp < 0:
-            raise ParseError("negative exponent", at)
-        value = value**exp
+    if not sc.peek().isdigit():
+        raise sc.fail("expected integer")
+    at = sc.i
+    value = int(sc.next())
+    if sc.accept("^"):
+        if not sc.peek().isdigit():
+            raise sc.fail("expected an exponent")
+        exp = int(sc.next())
+        if value > 1 and (exp >= MAX_POWER_BITS or exp * log2(value) >= MAX_POWER_BITS):
+            raise ParseError(f"power longer than {MAX_POWER_BITS} bits", sc.position(at))
+        value **= exp
     return sign * value
 
 
-def _scan_rational(sc: _Scanner) -> Fraction:
-    num = _scan_int(sc)
-    if sc.peek() == "/":
-        _, at = sc.next()
-        den = _scan_int(sc)
-        if den == 0:
-            raise ParseError("zero denominator", at)
-        return Fraction(num, den)
-    return Fraction(num)
+def scan_rational(sc: Scanner) -> Fraction:
+    """``int [/ int]``, each side in scan_int's form."""
+    num = scan_int(sc)
+    if not sc.accept("/"):
+        return Fraction(num)
+    at = sc.i - 1
+    den = scan_int(sc)
+    if den == 0:
+        raise ParseError("zero denominator", sc.position(at))
+    return Fraction(num, den)
+
+
+def scan_p(sc: Scanner, pre: Fraction = Fraction(1)) -> PFormula:
+    """``[rat *]... [sqrt3 *] P(s, 2^B, l, [a1, ..., al])``.
+
+    The rationals before the body multiply into ``pre``, the prefactor.
+    """
+    while sc.peek() not in ("sqrt3", "P"):
+        pre *= scan_rational(sc)
+        sc.expect("*")
+    root3 = sc.accept("sqrt3")
+    if root3:
+        sc.expect("*")
+    at = sc.i
+    sc.expect("P")
+    sc.expect("(")
+    degree = scan_int(sc)
+    sc.expect(",")
+    if not sc.accept("2"):
+        raise sc.fail("base must be written as 2^B")
+    sc.expect("^")
+    base_exp = scan_int(sc)
+    sc.expect(",")
+    length = scan_int(sc)
+    sc.expect(",")
+    sc.expect("[")
+    coeffs = [scan_int(sc)]
+    while sc.accept(","):
+        coeffs.append(scan_int(sc))
+    sc.expect("]")
+    sc.expect(")")
+    try:
+        return PFormula(degree, base_exp, length, tuple(coeffs), pre, root3)
+    except FormulaError as exc:
+        raise FormulaError(f"{exc} (at position {sc.position(at)})") from None
 
 
 def parse_p(text: str) -> PFormula:
     """Parse the text form ``[rat *] [sqrt3 *] P(s, 2^B, l, [a1, ..., al])``.
 
-    Rationals accept ``2^e`` exponent shorthand in numerator or denominator.
-    Raises ParseError with a position on bad syntax, FormulaError when the
-    coefficient count disagrees with the stated length.
+    Integers accept the ``a^e`` power shorthand.  Raises ParseError with a
+    position on bad syntax, FormulaError (also with a position) when the
+    formula is invalid, e.g. the coefficient count disagrees with the length.
     """
-    sc = _Scanner(text)
-    pre = Fraction(1)
-    root3 = False
-    if sc.peek() != "P":
-        if sc.peek() != "sqrt3":
-            pre = _scan_rational(sc)
-            sc.expect("*")
-        if sc.peek() == "sqrt3":
-            sc.next()
-            root3 = True
-            sc.expect("*")
-    sc.expect("P")
-    sc.expect("(")
-    degree = _scan_int(sc)
-    sc.expect(",")
-    tok, at = sc.next()
-    if tok != "2":
-        raise ParseError("base must be written as 2^B", at)
-    sc.expect("^")
-    base_exp = _scan_int(sc)
-    if base_exp <= 0:
-        raise FormulaError("base exponent must be positive")
-    sc.expect(",")
-    length = _scan_int(sc)
-    sc.expect(",")
-    sc.expect("[")
-    coeffs = [_scan_int(sc)]
-    while sc.peek() == ",":
-        sc.next()
-        coeffs.append(_scan_int(sc))
-    sc.expect("]")
-    sc.expect(")")
-    tok, at = sc.next()
-    if tok:
-        raise ParseError("trailing input", at)
-    if len(coeffs) != length:
-        raise FormulaError(f"length is {length} but {len(coeffs)} coefficients given")
-    return PFormula(degree, base_exp, length, tuple(coeffs), pre, root3)
+    sc = Scanner(text)
+    p = scan_p(sc)
+    sc.end()
+    return p
 
 
 def serialize_p(p: PFormula) -> str:

@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 from bbpkit.bigmath import (
     FixReal,
     ceil_div,
-    fix_add,
-    fix_mul,
     powmod,
     tdiv,
 )
@@ -91,25 +89,25 @@ def test_powmod_cross_path_random_sweep():
 def test_fix_add_exact_small_case():
     a = FixReal(3, 1, 0)
     b = FixReal(1, 1, 0)
-    c = fix_add(a, b)
+    c = a + b
     assert (c.mantissa, c.frac_bits, c.err_ulp) == (4, 1, 0)
 
 
 def test_fix_add_identity():
     x = FixReal(123, 7, 2)
     z = FixReal(0, 7, 0)
-    assert fix_add(x, z) == x
+    assert x + z == x
 
 
 def test_fix_add_error_bounds_add():
-    c = fix_add(FixReal(1, 2, 1), FixReal(1, 2, 1))
+    c = FixReal(1, 2, 1) + FixReal(1, 2, 1)
     assert c.mantissa == 2 and c.frac_bits == 2
     assert c.err_ulp >= 2
 
 
 def test_fix_mul_quarter():
     half = FixReal.from_fraction(Fraction(1, 2), 8)
-    q = fix_mul(half, half, 8)
+    q = half.mul(half, 8)
     assert q.mantissa == 64 and q.frac_bits == 8
     assert q.err_ulp <= 1
 
@@ -117,14 +115,14 @@ def test_fix_mul_quarter():
 def test_fix_mul_identity_within_ulp():
     x = FixReal.from_fraction(Fraction(355, 113), 64)
     one = FixReal.from_int(1, 8)
-    y = fix_mul(x, one, 64)
+    y = x.mul(one, 64)
     assert abs(y.mantissa - x.mantissa) <= 1
     assert y.err_ulp <= x.err_ulp + 2
 
 
 def test_fix_mul_third_squared_matches_ninth():
     third = FixReal.from_fraction(Fraction(1, 3), 64)
-    squared = fix_mul(third, third, 64)
+    squared = third.mul(third, 64)
     ninth = FixReal.from_fraction(Fraction(1, 9), 64)
     diff = squared - ninth
     assert abs(diff.value_fraction()) <= diff.error_fraction()

@@ -60,6 +60,41 @@ def test_expression_round_trip():
         assert parse_expr(serialize_expr(e)) == e
 
 
+def test_every_catalog_side_round_trips():
+    sides = [e for rec in default_catalog() for e in (rec.lhs, rec.rhs)]
+    assert len(sides) == 2 * len(default_catalog())
+    assert [e for e in sides if parse_expr(serialize_expr(e)) != e] == []
+
+
+def test_prefactor_rationals_belong_to_the_inline_formula():
+    e = parse_expr("1 * 1/2^10 * P(1, 2^1, 1, [1])")
+    assert e.terms == ((Fraction(1), PFormula(1, 1, 1, (1,), Fraction(1, 1024))),)
+    assert parse_expr("pi - P(1, 2^1, 1, [1])").terms == (
+        (Fraction(1), ConstMonomial(pi_pow=1)),
+        (Fraction(1), PFormula(1, 1, 1, (1,), Fraction(-1))),
+    )
+    assert parse_expr("-P(1, 2^1, 1, [1])").terms == (
+        (Fraction(1), PFormula(1, 1, 1, (1,), Fraction(-1))),
+    )
+
+
+@pytest.mark.parametrize("text,position", [
+    ("1 * ReLi(1, 1, 3/4/5)", 18),
+    ("1 * pi + ", 9),
+    ("* pi", 0),
+    ("2^999999999 * pi", 0),
+    ("1 * pi 2", 7),
+])
+def test_malformed_expression_error_has_position(text, position):
+    with pytest.raises(CatalogError, match=rf"\(at position {position}\)$"):
+        parse_expr(text)
+
+
+def test_unknown_record_id():
+    with pytest.raises(CatalogError, match="unknown record id 'nope'"):
+        default_catalog().get("nope")
+
+
 def test_duplicate_terms_merge():
     e = parse_expr("2 * pi + 3 * pi")
     assert len(e.terms) == 1

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from bbpkit.cli import main
+from bbpkit.cli import MAX_BITS, MAX_DIGITS, main
 
 
 def run(capsys, *argv):
@@ -74,9 +75,13 @@ def test_verify_all_small_catalog(tmp_path, capsys):
 
 
 def test_verify_all_output_independent_of_threads(tmp_path, capsys):
-    _, seq, _ = run(capsys, "verify-all", "--digits", "30", "--threads", "1")
-    _, par, _ = run(capsys, "verify-all", "--digits", "30", "--threads", "4")
-    assert seq == par
+    # there is no thread pool: two runs print the same, and --threads is refused
+    _, first, _ = run(capsys, "verify-all", "--digits", "30")
+    _, second, _ = run(capsys, "verify-all", "--digits", "30")
+    assert first == second
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--digits", "30", "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_verify_all_json_lines(capsys):
@@ -147,3 +152,53 @@ def test_argparse_usage_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("digits", "--formula", "P(1, 2^1, 1, [1])", "--pos", "0", "--count", "8", "--digits", "50"),
+    ("gen", "--point", "ReLi(1, 1, 3/4)", "--catalog", "x"),
+    ("combine", "--terms", "1 * P(1, 2^1, 1, [1])", "--format", "json-lines"),
+    ("pslq", "--values", "1 * pi; 2 * pi", "--catalog", "x"),
+])
+def test_flags_a_subcommand_ignores_are_refused(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("digits", "--formula", "1/3^999999999 * P(1, 2^1, 1, [1])", "--pos", "0", "--count", "8"),
+    ("eval", "2^999999999 * pi"),
+])
+def test_huge_power_exit_code(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "bits" in err
+
+
+def test_precision_limits_exit_code(capsys):
+    assert MAX_DIGITS >= 10_000  # verify-all --digits 10000 stays allowed
+    for flag, value, limit in (("--digits", 3_000_000, MAX_DIGITS),
+                               ("--digits", MAX_DIGITS + 1, MAX_DIGITS),
+                               ("--bits", MAX_BITS + 1, MAX_BITS)):
+        code, out, err = run(capsys, "eval", "1 * pi", flag, str(value))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and str(limit) in err
+
+
+def test_unknown_formula_id_names_the_id(capsys):
+    code, out, err = run(capsys, "eval", "--formula-id", "nope")
+    assert code == 2 and out == ""
+    assert err.strip() == "bbp: error: unknown record id 'nope'"
+
+
+def test_digits_refuses_record_whose_rhs_disagrees_with_lhs(tmp_path, capsys):
+    path = tmp_path / "wrong.txt"
+    path.write_text('[identity]\nid = "wrong"\nanchor = "a"\nkind = "bbp_ready"\n'
+                    'lhs = "1 * pi"\nrhs = "P(1, 2^1, 1, [1])"\n', encoding="utf-8")
+    code, out, err = run(capsys, "digits", "--formula-id", "wrong", "--catalog", str(path),
+                         "--pos", "0", "--count", "8")
+    assert code == 2 and out == ""
+    assert "disagrees with its lhs" in err

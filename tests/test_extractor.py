@@ -62,8 +62,7 @@ def test_extract_matches_window_across_the_catalog():
     # twenty (formula, position) samples drawn from derived catalog formulas,
     # positions up to 2e4; one full-precision evaluation per formula feeds the
     # oracle windows for both of its positions
-    from bbpkit.catalog import default_catalog
-    from bbpkit.cli import derive_minimal
+    from bbpkit.catalog import default_catalog, derive_bbp
     from bbpkit.pformula import canonicalize
 
     cat = default_catalog()
@@ -80,7 +79,7 @@ def test_extract_matches_window_across_the_catalog():
         if len(terms) == 1 and not hasattr(terms[0][1], "terms") and hasattr(terms[0][1], "coeffs"):
             formula = canonicalize(terms[0][1])
         else:
-            formula = derive_minimal(rec)
+            formula = derive_bbp(rec)
         positions = sorted(rng.randrange(0, 20_001) for _ in range(2))
         prec = positions[-1] + 32 + 96
         for pos in positions:

@@ -12,7 +12,7 @@ from bbpkit.generator import (
     period,
     serialize_li_point,
 )
-from bbpkit.pformula import PHeader, canonicalize, evaluate, rebase
+from bbpkit.pformula import ParseError, PHeader, canonicalize, evaluate, rebase
 from bbpkit.reference import li_point_value
 
 
@@ -37,6 +37,18 @@ def test_point_text_round_trip():
     for text in ("ReLi(2, 1, 3/4)", "ImLi(3, 5, 1/4)", "ReLi0(4, 2)", "ReLi(2, 6, 1/1)"):
         pt = parse_li_point(text)
         assert parse_li_point(serialize_li_point(pt)) == pt
+
+
+@pytest.mark.parametrize("text,error,position", [
+    ("ReLi(1, 1, 3/4/5)", ParseError, 14),
+    ("ReLi(1, 1, 3/4) x", ParseError, 16),
+    ("ReLi(1, 1)", ParseError, 9),
+    ("Li(1, 1, 3/4)", ParseError, 0),
+    ("ReLi(2, 2, 2/4)", PointError, 0),
+])
+def test_point_text_errors_carry_position(text, error, position):
+    with pytest.raises(error, match=rf"\(at position {position}\)$"):
+        parse_li_point(text)
 
 
 def test_period_examples():

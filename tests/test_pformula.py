@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bbpkit.pformula import (
+    MAX_POWER_BITS,
     FormulaError,
     ParseError,
     PFormula,
@@ -55,6 +56,31 @@ def test_parse_syntax_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse_p("P(2; 2^4, 2, [1, 2])")
     assert exc.value.position >= 0
+
+
+def test_power_bit_length_is_bounded():
+    assert parse_p(f"1/2^{MAX_POWER_BITS - 1} * P(1, 2^1, 1, [1])").pre == Fraction(
+        1, 1 << (MAX_POWER_BITS - 1))
+    for text in (f"1/2^{MAX_POWER_BITS} * P(1, 2^1, 1, [1])",
+                 "1/3^999999999 * P(1, 2^1, 1, [1])",
+                 "1/3^99999999999999999999 * P(1, 2^1, 1, [1])"):
+        with pytest.raises(ParseError, match="bits") as exc:
+            parse_p(text)
+        assert exc.value.position == 2
+
+
+def test_exponent_is_one_unsigned_integer():
+    # a chain of powers would recurse once per link; a signed one is not a power
+    for text, position in (("1/2^2^2 * P(1, 2^1, 1, [1])", 5), ("1/2^-1 * P(1, 2^1, 1, [1])", 4),
+                           ("1/2" + "^2" * 5000 + " * P(1, 2^1, 1, [1])", 5)):
+        with pytest.raises(ParseError) as exc:
+            parse_p(text)
+        assert exc.value.position == position
+
+
+def test_formula_error_carries_position():
+    with pytest.raises(FormulaError, match=r"\(at position 4\)"):
+        parse_p("2 * P(2, 2^4, 8, [1, 2])")
 
 
 def test_round_trip_canonical_forms():
