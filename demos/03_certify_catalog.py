@@ -3,8 +3,9 @@
 Every shipped record -- functional-equation evaluations, solved BBP-ready
 combinations, printed coefficient tables and zero relations -- is checked by
 evaluating both sides with certified fixed-point arithmetic and comparing the
-residual against 10^-digits.
+residual against 10^-digits.  Exits 1 when any record fails.
 """
+import sys
 import time
 from collections import Counter
 
@@ -29,3 +30,4 @@ for rec in sorted(catalog, key=lambda r: r.id):
 print()
 print(f"{len(catalog) - failures}/{len(catalog)} records certified "
       f"at {DIGITS} digits in {time.time() - t0:.2f}s")
+sys.exit(1 if failures else 0)

@@ -13,7 +13,7 @@ from .pformula import PFormula, PHeader, parse_p, serialize_p, canonicalize, str
 from .generator import LiPoint, period, generate, li_series_header
 from . import reference
 from .extractor import ExtractRequest, ExtractResult, extract, digit_window
-from .relations import RelationResult, PslqReport, certify_zero, pslq
+from .relations import RelationResult, PslqReport, pslq
 from .catalog import Catalog, IdentityRecord, LinearExpr, load_catalog, default_catalog, verify, derive_bbp, parse_expr
 
 __version__ = "0.1.0"
@@ -42,7 +42,6 @@ __all__ = [
     "digit_window",
     "RelationResult",
     "PslqReport",
-    "certify_zero",
     "pslq",
     "Catalog",
     "IdentityRecord",

@@ -8,19 +8,26 @@ and all operations pure, so everything here can be shared freely across
 threads.
 
 Rounding is truncation toward zero throughout, with the truncation charged to
-the error bound.
+the error bound.  ``precision_cache`` memoizes a function of a key and a
+precision, serving lower precisions from the highest one computed.
 """
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from math import isqrt
+from typing import Callable, Hashable, NamedTuple
 
 __all__ = [
     "FixReal",
     "powmod",
     "tdiv",
     "ceil_div",
+    "precision_cache",
+    "CACHE_KEYS",
 ]
 
 
@@ -190,6 +197,62 @@ class FixReal:
             raise ValueError("not enough fractional bits for requested window")
         window = (abs(self.mantissa) >> drop) & ((1 << (4 * hex_count)) - 1)
         return f"{window:0{hex_count}X}"
+
+
+CACHE_KEYS = 256  # keys each precision_cache keeps; the least recently used goes first
+
+
+class CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+
+
+def precision_cache(check: Callable[[Hashable, int], None] | None = None):
+    """Decorate ``fn(key, prec_bits) -> FixReal`` with one cache entry per key.
+
+    The entry holds the value at the highest precision computed so far.  A
+    request at or below it is served by ``rescale`` to the fraction bits a
+    fresh call returns (fn must return ``prec_bits`` plus a key-dependent
+    number of guard bits), which charges the truncation to the error bound; a
+    higher request computes and replaces the entry.  ``check(key, prec_bits)``
+    runs before every lookup.  Exceptions are not cached, an entry is never
+    replaced by a lower precision, and ``cache_info()`` returns a snapshot of
+    the hit and miss counts.
+    """
+    def decorate(fn: Callable[[Hashable, int], FixReal]) -> Callable[[Hashable, int], FixReal]:
+        table: OrderedDict[Hashable, tuple[int, FixReal]] = OrderedDict()
+        lock = threading.Lock()
+        counts = [0, 0]  # hits, misses
+
+        @wraps(fn)
+        def cached(key: Hashable, prec_bits: int) -> FixReal:
+            if check is not None:
+                check(key, prec_bits)
+            with lock:
+                entry = table.get(key)
+                if entry is not None and entry[0] >= prec_bits:
+                    table.move_to_end(key)
+                    counts[0] += 1
+                    stored, value = entry
+                    return value.rescale(value.frac_bits - stored + prec_bits)
+                counts[1] += 1
+            value = fn(key, prec_bits)
+            with lock:
+                entry = table.get(key)
+                if entry is None or entry[0] < prec_bits:
+                    table[key] = (prec_bits, value)
+                    table.move_to_end(key)
+                    if len(table) > CACHE_KEYS:
+                        table.popitem(last=False)
+            return value
+
+        def cache_info() -> CacheInfo:
+            with lock:
+                return CacheInfo(*counts)
+
+        cached.cache_info = cache_info
+        return cached
+    return decorate
 
 
 def fix_sqrt_int(n: int, frac_bits: int) -> FixReal:

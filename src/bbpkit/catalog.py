@@ -12,10 +12,11 @@ The catalog file is record-per-block structured text:
 
 Expression grammar (the tokenizer and grammar of pformula and generator):
 terms joined by + or -, each a product of rationals and either constant atoms
-(pi and log2 with ^ powers, at most one of zeta3, zeta5, G, Cl2pi3, Cl4pi2),
-one polylog point (ReLi/ImLi/ReLi0 form) or one inline [sqrt3 *] P(...)
-formula.  The rationals before a P(...) are its prefactor, and that term's
-coefficient is 1.  Integers accept the a^e shorthand.
+(pi and log2 with ^ powers adding up to at most MAX_MONOMIAL_POWER, and at
+most one of zeta3, zeta5, G, Cl2pi3, Cl4pi2), one polylog point
+(ReLi/ImLi/ReLi0 form) or one inline [sqrt3 *] P(...) formula.  The
+rationals before a P(...) are its prefactor, and that term's coefficient is 1.
+Integers accept the a^e shorthand.
 """
 from __future__ import annotations
 
@@ -28,8 +29,8 @@ from typing import Iterable, NamedTuple, Union
 
 from .bigmath import FixReal
 from .generator import LiPoint, generate, period, scan_li_point
-from .pformula import (PFormula, PHeader, Scanner, combine, evaluate, rebase, scan_p,
-                       scan_rational, stretch)
+from .pformula import (ParseError, PFormula, PHeader, Scanner, combine, evaluate, rebase,
+                       scan_p, scan_rational, stretch)
 from .reference import ConstMonomial, const_value, li_point_value
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "IdentityRecord",
     "Catalog",
     "CatalogError",
+    "MAX_MONOMIAL_POWER",
     "VerifyReport",
     "parse_expr",
     "serialize_expr",
@@ -51,6 +53,8 @@ __all__ = [
 Term = Union[PFormula, LiPoint, ConstMonomial]
 
 KINDS = ("generator", "bbp_ready", "zero_relation", "printed_formula")
+
+MAX_MONOMIAL_POWER = 64  # largest pi^a * log2^b degree a + b in one term; the catalog uses 5
 
 _SPECIAL_ATOMS = {"zeta3": "zeta3", "zeta5": "zeta5", "G": "catalan", "Cl2pi3": "cl2_pi3",
                   "Cl4pi2": "cl4_pi2"}
@@ -122,13 +126,12 @@ def _scan_term(sc: Scanner) -> tuple[Fraction, Term]:
         if tok in ("ReLi", "ImLi", "ReLi0") and alone:
             point = scan_li_point(sc)
         elif tok in powers and point is None:
+            at = sc.i
             sc.next()
-            if sc.accept("^"):
-                if not sc.peek().isdigit():
-                    raise sc.fail("expected a power")
-                powers[tok] += int(sc.next())
-            else:
-                powers[tok] += 1
+            powers[tok] += sc.unsigned("a power") if sc.accept("^") else 1
+            if sum(powers.values()) > MAX_MONOMIAL_POWER:
+                raise ParseError(f"pi and log2 powers above {MAX_MONOMIAL_POWER} in one term",
+                                 sc.position(at))
         elif tok in _SPECIAL_ATOMS and point is None and special == "one":
             sc.next()
             special = _SPECIAL_ATOMS[tok]

@@ -30,10 +30,6 @@ MAX_DIGITS = 100_000  # largest --digits
 MAX_BITS = bits_for_digits(MAX_DIGITS)  # largest --bits
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _add_shared(sub: argparse.ArgumentParser, *flags: str) -> None:
     """Attach the shared flags a subcommand reads: catalog, format, precision."""
     if "catalog" in flags:
@@ -71,7 +67,7 @@ def _resolve_formula(args: argparse.Namespace) -> PFormula:
         return derive_bbp(_load_catalog(args).get(args.formula_id))
     if args.formula:
         return parse_p(args.formula)
-    raise _UsageError("provide --formula-id or --formula")
+    raise ValueError("provide --formula-id or --formula")
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -81,7 +77,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         expr = record.rhs
     else:
         if not args.expr:
-            raise _UsageError("provide an expression or --formula-id")
+            raise ValueError("provide an expression or --formula-id")
         expr = parse_expr(args.expr)
     value = evaluate_expr(expr, bits)
     print(value.decimal(digits))
@@ -110,7 +106,7 @@ def _cmd_combine(args: argparse.Namespace) -> int:
     parts = []
     for coeff, term in expr.terms:
         if not isinstance(term, PFormula):
-            raise _UsageError("combine takes only inline P(...) terms")
+            raise ValueError("combine takes only inline P(...) terms")
         parts.append((coeff, term))
     print(serialize_p(combine(parts)))
     return 0
@@ -155,7 +151,7 @@ def _cmd_pslq(args: argparse.Namespace) -> int:
     bits, _ = _resolve_bits(args, default_digits=120)
     exprs = [chunk.strip() for chunk in args.values.split(";") if chunk.strip()]
     if len(exprs) < 2:
-        raise _UsageError("pslq needs at least two ;-separated expressions")
+        raise ValueError("pslq needs at least two ;-separated expressions")
     values = [evaluate_expr(parse_expr(e), bits) for e in exprs]
     try:
         report = pslq(values, args.max_norm, bits)
@@ -174,8 +170,6 @@ def _cmd_pslq(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
-    if args.action != "list":
-        raise _UsageError("unknown catalog action; try: bbp catalog list")
     cat = _load_catalog(args)
     for rec in sorted(cat, key=lambda r: r.id):
         if args.format == "json-lines":
@@ -243,14 +237,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        parser.print_usage(sys.stderr)
-        print(f"bbp: error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"bbp: error: {exc}", file=sys.stderr)
         return 2

@@ -70,7 +70,7 @@ class ExtractResult:
 
 def to_extractable(p: PFormula) -> PFormula:
     """The formula itself, after refusing sqrt(3)-carrying ones; ``extract``
-    takes every other prefactor directly (perfbench/tracing.py wraps this by name)."""
+    takes every other prefactor directly."""
     if p.root3:
         raise ExtractionError("sqrt(3)-carrying formulas are evaluate-only")
     return p
@@ -86,9 +86,7 @@ def extract(req: ExtractRequest) -> ExtractResult:
     boundary, or when the sign stays unresolved at bit_pos + 4*(hex_digits +
     guard_hex) + 64 bits; the sign is never guessed.
     """
-    p = req.formula
-    if p.root3:
-        raise ExtractionError("sqrt(3)-carrying formulas are evaluate-only")
+    p = to_extractable(req.formula)
     if p.is_zero():
         return ExtractResult("0" * req.hex_digits, 4 * req.guard_hex)
     work = 4 * (req.hex_digits + req.guard_hex)

@@ -213,12 +213,13 @@ def li_series_header(pt: LiPoint) -> PHeader:
     return PHeader(pt.degree, pt.scale_exp * length // 2, length)
 
 
-def generate(pt: LiPoint, target_len: int, self_check: bool = True) -> PFormula:
+def generate(pt: LiPoint, target_len: int) -> PFormula:
     """Exact formula of length target_len for the point, derived from periodicity.
 
     target_len must be a multiple of period(pt).  Coefficient j is fixed by
     pre * a_j = 2^(-q*j/2) * trig(j*x); surviving sqrt(2) parts raise
     IrrationalCarryError, a uniform sqrt(3) factor moves to the root3 flag.
+    The result is checked against direct summation of the point at 80 bits.
     """
     length = int(target_len)
     per = period(pt)
@@ -266,8 +267,7 @@ def generate(pt: LiPoint, target_len: int, self_check: bool = True) -> PFormula:
     formula = canonicalize(
         PFormula(pt.degree, base_exp, length, coeffs, Fraction(1, den), root3)
     )
-    if self_check:
-        _assert_matches_reference(pt, formula)
+    _assert_matches_reference(pt, formula)
     return formula
 
 

@@ -22,11 +22,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from math import gcd, lcm, log2
 from typing import NamedTuple, Sequence
 
-from .bigmath import FixReal, fix_sqrt_int, tdiv
+from .bigmath import FixReal, fix_sqrt_int, precision_cache, tdiv
 
 __all__ = [
     "PFormula",
@@ -112,7 +112,8 @@ def zero_formula(degree: int) -> PFormula:
 # text form: the one tokenizer and grammar of the expression language
 # ---------------------------------------------------------------------------
 
-MAX_POWER_BITS = 1 << 16  # a power a^e longer than this many bits is refused
+MAX_POWER_BITS = 1 << 16  # a literal or a power a^e longer than this many bits is refused
+_MAX_LITERAL_DIGITS = int(MAX_POWER_BITS / log2(10))
 
 _TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^,()\[\]]")
 _STRAY = re.compile(r"[^\s0-9A-Za-z_+\-*/^,()\[\]]")
@@ -165,25 +166,32 @@ class Scanner:
         if self.peek():
             raise self.fail("expected end of input")
 
+    def unsigned(self, what: str) -> int:
+        """One digit token; one with room for more than MAX_POWER_BITS bits
+        raises ParseError before it is read."""
+        tok = self.tokens[self.i]
+        if not tok.isdigit():
+            raise self.fail(f"expected {what}")
+        if len(tok) > _MAX_LITERAL_DIGITS:
+            raise ParseError(f"integer longer than {MAX_POWER_BITS} bits", self.position(self.i))
+        self.i += 1
+        return int(tok)
+
 
 def scan_int(sc: Scanner) -> int:
     """``[+-]... n [^ e]`` with unsigned ``e``, the one place where a power is evaluated.
 
-    A power whose bit length would exceed MAX_POWER_BITS raises ParseError
-    before it is computed.
+    A literal or a power whose bit length could exceed MAX_POWER_BITS raises
+    ParseError before it is computed.
     """
     sign = 1
     while sc.peek() in ("+", "-"):
         if sc.next() == "-":
             sign = -sign
-    if not sc.peek().isdigit():
-        raise sc.fail("expected integer")
     at = sc.i
-    value = int(sc.next())
+    value = sc.unsigned("integer")
     if sc.accept("^"):
-        if not sc.peek().isdigit():
-            raise sc.fail("expected an exponent")
-        exp = int(sc.next())
+        exp = sc.unsigned("an exponent")
         if value > 1 and (exp >= MAX_POWER_BITS or exp * log2(value) >= MAX_POWER_BITS):
             raise ParseError(f"power longer than {MAX_POWER_BITS} bits", sc.position(at))
         value **= exp
@@ -369,17 +377,20 @@ def combine(terms: Sequence[tuple[Fraction, PFormula]]) -> PFormula:
 # evaluation
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
+def _check_precision(p: PFormula, prec_bits: int) -> None:
+    if prec_bits < 8:
+        raise FormulaError("prec_bits must be at least 8")
+
+
+@precision_cache(check=_check_precision)
 def evaluate(p: PFormula, prec_bits: int) -> FixReal:
     """Certified fixed-point value of the formula.
 
     Works at prec_bits + 64 guard bits; the outer sum over base blocks stops
     once the remaining tail, bounded through the coefficient magnitude sum,
     drops below one working ulp.  Every truncated division charges one ulp to
-    the certified error bound.
+    the certified error bound.  Raises FormulaError below 8 bits.
     """
-    if prec_bits < 8:
-        raise FormulaError("prec_bits must be at least 8")
     work = prec_bits + EVAL_GUARD_BITS
     if p.is_zero():
         return FixReal(0, work, 0)

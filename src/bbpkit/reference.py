@@ -9,19 +9,20 @@ alternating series, direct summation of polylogarithm points, and constant
 monomials built from the cached bases.
 
 All routines return certified FixReal values; precision is always an
-explicit bit count.  Constant caches are write-once per precision level and
-guarded by a lock, so concurrent readers are safe.
+explicit bit count.  ``constant`` and ``li_point_value`` keep each value at
+the highest precision computed and serve lower precisions from it
+(``bigmath.precision_cache``); the cache table and the Bernoulli table each
+sit behind a lock, so concurrent callers are safe.
 """
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from typing import Callable, Union
 
-from .bigmath import FixReal, ceil_div, fix_sqrt_int, tdiv
+from .bigmath import FixReal, ceil_div, fix_sqrt_int, precision_cache, tdiv
 from .generator import LiPoint
 
 __all__ = [
@@ -272,9 +273,6 @@ def _cl2_pi3(bits: int) -> FixReal:
     return z.mul(root3, work).scale_rat(Fraction(1, 72), work)
 
 
-_const_cache: dict[str, FixReal] = {}
-_const_lock = threading.Lock()
-
 _BUILDERS: dict[str, Callable[[int], FixReal]] = {
     "pi": pi_machin,
     "log2": _log2_series,
@@ -287,16 +285,12 @@ _BUILDERS: dict[str, Callable[[int], FixReal]] = {
 }
 
 
+@precision_cache()
 def constant(name: str, prec_bits: int) -> FixReal:
-    """Cached base constant at (at least) the requested precision."""
+    """Base constant with at least prec_bits fraction bits."""
     if name not in _BUILDERS:
         raise ValueError(f"unknown constant {name!r}")
-    with _const_lock:
-        cur = _const_cache.get(name)
-        if cur is None or cur.frac_bits < prec_bits:
-            cur = _BUILDERS[name](prec_bits)
-            _const_cache[name] = cur
-    return cur.rescale(prec_bits)
+    return _BUILDERS[name](prec_bits)
 
 
 def const_value(mono: ConstMonomial, prec_bits: int) -> FixReal:
@@ -316,7 +310,7 @@ def const_value(mono: ConstMonomial, prec_bits: int) -> FixReal:
 # direct polylogarithm point summation
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=256)
+@precision_cache()
 def li_point_value(pt: LiPoint, prec_bits: int) -> FixReal:
     """Direct summation of sum_k p^k trig(k x) / k^s with exact trig patterns.
 

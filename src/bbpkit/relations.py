@@ -1,4 +1,4 @@
-"""Zero-relation certification and PSLQ integer-relation search.
+"""PSLQ integer-relation search.
 
 The PSLQ implementation is the standard single-level algorithm (weighted
 diagonal row selection with gamma = 2/sqrt(3), corner Givens rotation,
@@ -18,13 +18,11 @@ from functools import reduce
 from math import gcd, isqrt
 
 from .bigmath import FixReal
-from .catalog import LinearExpr, evaluate_expr, bits_for_digits
 
 __all__ = [
     "RelationResult",
     "PslqReport",
     "PrecisionExhausted",
-    "certify_zero",
     "pslq",
 ]
 
@@ -37,7 +35,7 @@ class PrecisionExhausted(ArithmeticError):
 class RelationResult:
     coeffs: tuple[int, ...]
     residual: FixReal
-    norm_bound: int
+    norm_bound: int  # the Euclidean norm of coeffs, rounded up
 
     def __post_init__(self) -> None:
         if not any(self.coeffs):
@@ -50,15 +48,6 @@ class PslqReport:
     exclusion_bound: int
     iterations: int
     status: str  # "found" | "excluded"
-
-
-def certify_zero(expr: LinearExpr, decimal_digits: int = 200) -> FixReal:
-    """Certified residual of the expression; small residual = certified zero.
-
-    Certification at d digits means |residual| < 10^-d is guaranteed by the
-    returned value's error bound; a large residual is a finding, not an error.
-    """
-    return evaluate_expr(expr, bits_for_digits(decimal_digits))
 
 
 def _nint_div(a: int, b: int) -> int:
@@ -189,8 +178,9 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
                 residual = _confirm(coeffs, values, prec_bits)
                 if residual is not None:
                     bound = _diag_bound(H, n, f)
+                    norm = isqrt(sum(c * c for c in coeffs) - 1) + 1  # ceil of the root
                     return PslqReport(
-                        RelationResult(coeffs, residual, max_norm),
+                        RelationResult(coeffs, residual, norm),
                         bound,
                         iteration,
                         "found",

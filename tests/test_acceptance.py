@@ -170,7 +170,7 @@ def test_criterion_6_generator_reference_agreement():
     bits = 340  # 100 digits plus slack
     tol = Fraction(1, 10**100)
     for pt in pts:
-        f = generate(pt, period(pt), self_check=False)
+        f = generate(pt, period(pt))
         d = evaluate(f, bits) - li_point_value(pt, bits)
         assert abs(d.value_fraction()) <= d.error_fraction() + tol, pt
     elapsed = time.time() - t0

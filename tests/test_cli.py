@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from bbpkit.catalog import MAX_MONOMIAL_POWER
 from bbpkit.cli import MAX_BITS, MAX_DIGITS, main
 
 
@@ -112,6 +113,18 @@ def test_usage_error_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval",),
+    ("digits", "--pos", "0", "--count", "8"),
+    ("combine", "--terms", "1 * pi"),
+    ("pslq", "--values", "1 * pi"),
+])
+def test_usage_error_is_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("bbp: error: ")
+
+
 def test_unknown_record_exit_code(capsys):
     code, _, err = run(capsys, "verify", "--id", "no-such-record")
     assert code == 2
@@ -176,6 +189,21 @@ def test_huge_power_exit_code(capsys, argv):
     assert time.perf_counter() - t0 < 1
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "bits" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "9" * 10**6 + " * pi", "--digits", "20"),
+    ("eval", "1 * pi^" + "9" * 10**6, "--digits", "20"),
+    ("eval", "1 * pi^99999999", "--digits", "20"),
+    ("eval", f"1 * pi^3 * pi^{MAX_MONOMIAL_POWER - 2}", "--digits", "20"),
+])
+def test_huge_literal_or_monomial_power_exit_code(capsys, argv):
+    # in-process: a 10^6-digit argument is past the kernel's per-argument limit
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "position" in err
 
 
 def test_precision_limits_exit_code(capsys):

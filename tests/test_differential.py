@@ -1,0 +1,100 @@
+"""Differential tests of evaluate, li_point_value and hurwitz_zeta against mpmath.
+
+Each oracle shares no code with bbpkit.  evaluate and li_point_value are
+called at several precisions per example, in the random order hypothesis
+draws, so values served by the precision cache from a higher precision are
+checked as well as fresh ones.
+"""
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bbpkit.bigmath import FixReal
+from bbpkit.generator import LiPoint
+from bbpkit.pformula import EVAL_GUARD_BITS, PFormula, evaluate
+from bbpkit.reference import hurwitz_zeta, li_point_value
+
+mpmath = pytest.importorskip("mpmath")
+
+PRECISIONS = st.lists(st.integers(8, 400), min_size=2, max_size=4)
+
+
+def _context(prec_bits: int):
+    ctx = mpmath.MPContext()
+    ctx.prec = prec_bits + 160
+    return ctx
+
+
+def _within(v: FixReal, ctx, ref) -> bool:
+    """|v - ref| lies inside v's certified error; the oracle's own error, about
+    2^-80 ulp at its 160 extra bits, gets 2^-40 ulp."""
+    return abs(ctx.mpf(v.mantissa) - ctx.ldexp(ref, v.frac_bits)) <= v.err_ulp + ctx.ldexp(1, -40)
+
+
+@st.composite
+def formulas(draw):
+    length = draw(st.integers(1, 4))
+    coeffs = draw(st.lists(st.integers(-30, 30), min_size=length, max_size=length))
+    pre = Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 40)))
+    return PFormula(draw(st.integers(1, 4)), draw(st.integers(1, 10)), length,
+                    tuple(coeffs), pre, draw(st.booleans()))
+
+
+def _formula_oracle(p: PFormula, ctx):
+    """Term-by-term sum in mpmath floating point, stopped well past its precision."""
+    total = ctx.mpf(0)
+    k = 0
+    while p.base_exp * k <= ctx.prec + 16:
+        block = ctx.fsum(ctx.mpf(a) / ctx.mpf(k * p.length + j) ** p.degree
+                         for j, a in enumerate(p.coeffs, start=1) if a)
+        total += ctx.ldexp(block, -p.base_exp * k)
+        k += 1
+    total *= ctx.mpf(p.pre.numerator) / p.pre.denominator
+    return total * ctx.sqrt(3) if p.root3 else total
+
+
+@settings(max_examples=120, deadline=None)
+@given(formulas(), PRECISIONS)
+def test_evaluate_agrees_with_mpmath(p, precisions):
+    ctx = _context(max(precisions))
+    ref = _formula_oracle(p, ctx)
+    for bits in precisions:
+        v = evaluate(p, bits)
+        assert v.frac_bits == bits + EVAL_GUARD_BITS
+        assert _within(v, ctx, ref), (p, bits)
+
+
+@st.composite
+def points(draw):
+    den = draw(st.sampled_from([0, 1, 2, 3, 4]))  # 0: the angle-zero point
+    if den == 0:
+        return LiPoint(draw(st.integers(1, 4)), 2 * draw(st.integers(1, 3)), 0, 1, "re")
+    num = draw(st.sampled_from([n for n in range(1, 2 * den) if gcd(n, den) == 1]))
+    scale = draw(st.integers(1, 6))
+    if den == 3:
+        scale += scale % 2
+    return LiPoint(draw(st.integers(1, 4)), scale, num, den, draw(st.sampled_from(["re", "im"])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(points(), PRECISIONS)
+def test_li_point_value_agrees_with_mpmath_polylog(pt, precisions):
+    ctx = _context(max(precisions))
+    z = ctx.power(2, ctx.mpf(-pt.scale_exp) / 2)
+    if pt.ang_num:
+        z *= ctx.expjpi(ctx.mpf(pt.ang_num) / pt.ang_den)
+    w = ctx.polylog(pt.degree, z)
+    ref = ctx.re(w) if pt.part == "re" else ctx.im(w)
+    for bits in precisions:
+        assert _within(li_point_value(pt, bits), ctx, ref), (pt, bits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 12), st.integers(1, 12), st.integers(8, 300))
+def test_hurwitz_zeta_agrees_with_mpmath(s, u, v, bits):
+    a = Fraction(min(u, v), max(u, v))
+    ctx = _context(bits)
+    ref = ctx.zeta(s, ctx.mpf(a.numerator) / a.denominator)
+    assert _within(hurwitz_zeta(s, a, bits), ctx, ref), (s, a, bits)

@@ -5,25 +5,25 @@ from math import isqrt
 import pytest
 
 from bbpkit.bigmath import FixReal
-from bbpkit.catalog import default_catalog, parse_expr
-from bbpkit.relations import PrecisionExhausted, RelationResult, certify_zero, pslq
+from bbpkit.catalog import bits_for_digits, default_catalog, evaluate_expr, parse_expr
+from bbpkit.relations import PrecisionExhausted, RelationResult, pslq
 
 
 def test_certify_pi_minus_pi():
-    residual = certify_zero(parse_expr("1 * pi + -1 * pi"), 100)
+    residual = evaluate_expr(parse_expr("1 * pi + -1 * pi"), bits_for_digits(100))
     assert residual.certified_below(Fraction(1, 10**100))
 
 
 def test_certify_printed_zero_relations():
     cat = default_catalog()
     for rid in ("zero-deg2-2e12-a-table", "zero-deg2-2e12-b-table"):
-        residual = certify_zero(cat.get(rid).rhs, 200)
+        residual = evaluate_expr(cat.get(rid).rhs, bits_for_digits(200))
         assert residual.certified_below(Fraction(1, 10**200)), rid
 
 
 def test_certify_monotone_in_precision():
     expr = parse_expr(default_catalog().get("zero-deg3-2e12").rhs.__str__())
-    r_hi = certify_zero(expr, 150)
+    r_hi = evaluate_expr(expr, bits_for_digits(150))
     assert r_hi.certified_below(Fraction(1, 10**150))
     assert r_hi.certified_below(Fraction(1, 10**80))
 
@@ -33,6 +33,14 @@ def test_pslq_unit_pair():
     rep = pslq(vals, 10, 256)
     assert rep.status == "found"
     assert rep.relation.coeffs == (1, -1)
+
+
+def test_pslq_reports_the_relation_norm():
+    vals = [FixReal.from_fraction(Fraction(355, 113), 256),
+            FixReal.from_fraction(Fraction(710, 113), 256)]
+    rep = pslq(vals, 10**6, 256)
+    assert rep.relation.coeffs == (2, -1)
+    assert rep.relation.norm_bound == 3  # ceil(sqrt(5)), not max_norm
 
 
 def test_pslq_planted_multiples():
