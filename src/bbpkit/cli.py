@@ -49,7 +49,8 @@ def _resolve_bits(args: argparse.Namespace, default_digits: int = 200) -> tuple[
     if args.bits is not None:
         if args.bits > MAX_BITS:
             raise ValueError(f"--bits is limited to {MAX_BITS}")
-        return args.bits, max(args.bits * 3 // 10, 16)
+        digits = max(args.bits * 3 // 10, 16)
+        return max(args.bits, bits_for_digits(digits)), digits
     digits = args.digits if args.digits is not None else default_digits
     if not 16 <= digits <= MAX_DIGITS:
         raise ValueError(f"precision must be 16 to {MAX_DIGITS} digits")

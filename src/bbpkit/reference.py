@@ -11,8 +11,9 @@ monomials built from the cached bases.
 All routines return certified FixReal values; precision is always an
 explicit bit count.  ``constant`` and ``li_point_value`` keep each value at
 the highest precision computed and serve lower precisions from it
-(``bigmath.precision_cache``); the cache table and the Bernoulli table each
-sit behind a lock, so concurrent callers are safe.
+(``bigmath.precision_cache``).  The cache table sits behind a lock, and the
+Bernoulli table grows by tangent-number columns under its own lock, so
+concurrent callers are safe.
 """
 from __future__ import annotations
 
@@ -86,22 +87,28 @@ class ConstMonomial:
 # Bernoulli numbers
 # ---------------------------------------------------------------------------
 
-_bern: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+_tan: list[int] = [1]  # column c of the tangent-number triangle; _tan[-1] = T_c
+_bern: list[Fraction] = [Fraction(1, 6)]  # B_2, B_4, ..., B_2c
 _bern_lock = threading.Lock()
 
 
 def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (B_1 = -1/2 convention)."""
+    """Exact B_n (B_1 = -1/2); B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the
+    tangent numbers T_k, whose triangle (Brent & Harvey 2011) grows a column at a time."""
     if n < 0:
         raise ValueError("index must be non-negative")
+    if n < 2 or n & 1:  # B_0 = 1, B_1 = -1/2, odd B_n = 0
+        return Fraction(-1, 2) if n == 1 else Fraction(int(n == 0))
     with _bern_lock:
-        while len(_bern) <= n:
-            m = len(_bern)
-            acc = Fraction(0)
-            for j, bj in enumerate(_bern):
-                acc += comb(m + 1, j) * bj
-            _bern.append(-acc / (m + 1))
-        return _bern[n]
+        while len(_bern) < n // 2:
+            j = len(_tan) + 1
+            col = [(j - 1) * _tan[0]]  # (j-1)!
+            for k in range(2, j):
+                col.append((j - k) * _tan[k - 1] + (j - k + 2) * col[-1])
+            col.append(2 * col[-1])
+            _tan[:] = col
+            _bern.append(Fraction((-1) ** (j - 1) * 2 * j * col[-1], 4**j * (4**j - 1)))
+        return _bern[n // 2 - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +124,9 @@ def hurwitz_zeta(s: int, a: Fraction, prec_bits: int) -> FixReal:
         raise ValueError("offset must lie in (0, 1]")
     work = prec_bits + _GUARD
     u, v = a.numerator, a.denominator
-    # head length: the correction terms bottom out near exp(-2*pi*cut), and the
-    # term count needed to pass one working ulp stays safely below cut
-    cut = work // 5 + 2 * s + 8
+    # head length: each head term is one division by a small integer, and past
+    # it the correction terms pass one working ulp after about work/14 of them
+    cut = work + 2 * s + 8
 
     acc = 0
     err = 0
@@ -136,22 +143,21 @@ def hurwitz_zeta(s: int, a: Fraction, prec_bits: int) -> FixReal:
     acc += tdiv(tail.numerator << work, tail.denominator)
     err += 1
 
-    # correction terms with even Bernoulli weights; the summand is completely
-    # monotone, so the first omitted term bounds the remainder
-    rising = Fraction(s)  # s*(s+1)*...*(s+2r-2)
-    fact = Fraction(2)  # (2r)!
-    threshold = Fraction(1, 1 << (work + 1))
+    # corrections B_2r C(s+2r-2, s-2) / (s-1) (cut+a)^(1-s-2r), exact; the summand
+    # is completely monotone, so the first omitted term bounds the remainder
+    vp, ep = v ** (s + 1), edge ** (s + 1)  # (cut+a)^(1-s-2r) = vp / ep
     r = 1
     while True:
-        power = Fraction(v ** (s + 2 * r - 1), edge ** (s + 2 * r - 1))
-        term = bernoulli(2 * r) / fact * rising * power
-        if abs(term) < threshold:
+        b = bernoulli(2 * r)
+        tn = b.numerator * comb(s + 2 * r - 2, s - 2) * vp
+        td = b.denominator * (s - 1) * ep
+        if abs(tn) << (work + 1) < td:
             err += 1
             break
-        acc += tdiv(term.numerator << work, term.denominator)
+        acc += tdiv(tn << work, td)
         err += 1
-        rising *= (s + 2 * r - 1) * (s + 2 * r)
-        fact *= (2 * r + 1) * (2 * r + 2)
+        vp *= v * v
+        ep *= edge * edge
         r += 1
         if r > cut:
             raise ArithmeticError("correction terms failed to decay; cut too small")

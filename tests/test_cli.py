@@ -230,3 +230,10 @@ def test_digits_refuses_record_whose_rhs_disagrees_with_lhs(tmp_path, capsys):
                          "--pos", "0", "--count", "8")
     assert code == 2 and out == ""
     assert "disagrees with its lhs" in err
+
+
+def test_eval_bits_prints_only_backed_digits(capsys):
+    # 10 bits alone would back 3 digits, not the 16 printed
+    code, out, _ = run(capsys, "eval", "1 * pi", "--bits", "10")
+    assert code == 0
+    assert out.strip() == "3.1415926535897932"

@@ -1,4 +1,4 @@
-"""Differential tests of evaluate, li_point_value and hurwitz_zeta against mpmath.
+"""Differential tests of evaluate, li_point_value, hurwitz_zeta and bernoulli against mpmath.
 
 Each oracle shares no code with bbpkit.  evaluate and li_point_value are
 called at several precisions per example, in the random order hypothesis
@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bbpkit.bigmath import FixReal
+from bbpkit.catalog import bits_for_digits
 from bbpkit.generator import LiPoint
 from bbpkit.pformula import EVAL_GUARD_BITS, PFormula, evaluate
-from bbpkit.reference import hurwitz_zeta, li_point_value
+from bbpkit.reference import bernoulli, hurwitz_zeta, li_point_value
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -98,3 +99,20 @@ def test_hurwitz_zeta_agrees_with_mpmath(s, u, v, bits):
     ctx = _context(bits)
     ref = ctx.zeta(s, ctx.mpf(a.numerator) / a.denominator)
     assert _within(hurwitz_zeta(s, a, bits), ctx, ref), (s, a, bits)
+
+
+@pytest.mark.parametrize("s", [2, 3, 5])
+@pytest.mark.parametrize("a", [Fraction(1, 6), Fraction(1, 3), Fraction(2, 3), Fraction(5, 6),
+                               Fraction(1)])
+def test_hurwitz_zeta_agrees_with_mpmath_at_1000_digits(s, a):
+    # the Euler-Maclaurin cut grows with the precision; hypothesis stays below 300 bits
+    bits = bits_for_digits(1000)
+    ctx = _context(bits)
+    ref = ctx.zeta(s, ctx.mpf(a.numerator) / a.denominator)
+    assert _within(hurwitz_zeta(s, a, bits), ctx, ref), (s, a)
+
+
+def test_bernoulli_agrees_with_mpmath_bernfrac():
+    for n in range(601):
+        p, q = mpmath.bernfrac(n)
+        assert bernoulli(n) == Fraction(int(p), int(q)), n

@@ -1,7 +1,11 @@
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from bbpkit import reference
 from bbpkit.bigmath import FixReal
 from bbpkit.generator import LiPoint
 from bbpkit.reference import (
@@ -59,6 +63,53 @@ def test_bernoulli_values():
     assert bernoulli(3) == 0
     assert bernoulli(4) == Fraction(-1, 30)
     assert bernoulli(12) == Fraction(-691, 2730)
+
+
+@pytest.fixture
+def empty_bernoulli_table(monkeypatch):
+    """A function that empties the Bernoulli table, as at import, for the test."""
+    def empty():
+        monkeypatch.setattr(reference, "_tan", [1])
+        monkeypatch.setattr(reference, "_bern", [Fraction(1, 6)])
+    return empty
+
+
+def test_bernoulli_table_grows_out_of_order(empty_bernoulli_table):
+    want = {n: bernoulli(n) for n in (2, 400, 1000)}
+    empty_bernoulli_table()
+    for n in (400, 2, 1000):
+        assert bernoulli(n) == want[n], n
+
+
+def test_bernoulli_threads_while_table_grows(empty_bernoulli_table):
+    indices = list(range(0, 701, 7)) + [1, 3, 600, 700]
+    want = {n: bernoulli(n) for n in indices}  # one thread
+    empty_bernoulli_table()
+    results, errors = [], []
+
+    def worker(seed):
+        order = indices[:]
+        random.Random(seed).shuffle(order)
+        try:
+            results.extend((n, bernoulli(n)) for n in order)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(results) == 4 * len(indices)
+    for n, got in results:
+        assert got == want[n], n
 
 
 # -- Hurwitz zeta ------------------------------------------------------------
