@@ -26,6 +26,7 @@ __all__ = [
     "powmod",
     "tdiv",
     "ceil_div",
+    "truncated_decimal",
     "precision_cache",
     "CACHE_KEYS",
 ]
@@ -40,6 +41,17 @@ def tdiv(a: int, b: int) -> int:
 def ceil_div(a: int, b: int) -> int:
     """Ceiling of a/b for positive b."""
     return -((-a) // b)
+
+
+def truncated_decimal(num: int, den: int, digits: int) -> str:
+    """num/den (den > 0) truncated toward zero at ``digits`` fractional digits.
+
+    A value that truncates to zero prints without a sign.
+    """
+    scaled = abs(num) * 10**digits // den
+    ip, fp = divmod(scaled, 10**digits)
+    sign = "-" if num < 0 and scaled else ""
+    return f"{sign}{ip}.{fp:0{digits}d}"
 
 
 def powmod(base: int, exp: int, modulus: int) -> int:
@@ -178,13 +190,12 @@ class FixReal:
 
     # -- rendering -------------------------------------------------------
 
-    def decimal(self, digits: int) -> str:
-        """Decimal string truncated toward zero at ``digits`` fractional digits."""
-        m = abs(self.mantissa)
-        scaled = (m * 10**digits) >> self.frac_bits
-        ip, fp = divmod(scaled, 10**digits)
-        sign = "-" if self.mantissa < 0 else ""
-        return f"{sign}{ip}.{fp:0{digits}d}"
+    def decimal(self, digits: int) -> str | None:
+        """The true value truncated toward zero at ``digits`` fractional digits,
+        or None when the two ends of the error interval truncate differently."""
+        lo, hi = (truncated_decimal(self.mantissa + e, 1 << self.frac_bits, digits)
+                  for e in (-self.err_ulp, self.err_ulp))
+        return lo if lo == hi else None
 
     def hex_frac_window(self, bit_pos: int, hex_count: int) -> str:
         """Hex digits of frac(2**bit_pos * |value|) in [bit_pos, bit_pos+4*hex_count).

@@ -10,13 +10,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from functools import cache
+from math import ceil
 
 from . import catalog as catalog_mod
+from .bigmath import truncated_decimal
 from .catalog import Catalog, bits_for_digits, derive_bbp, evaluate_expr, parse_expr, verify
 from .extractor import ExtractRequest, extract
 from .generator import generate, parse_li_point, period
 from .pformula import PFormula, combine, parse_p, serialize_p
+from .reference import ConstMonomial
 from .relations import PrecisionExhausted, pslq
 
 try:  # very long integers in reports should never trip the str() guard
@@ -24,10 +28,28 @@ try:  # very long integers in reports should never trip the str() guard
 except (AttributeError, ValueError):
     pass
 
-__all__ = ["main", "MAX_DIGITS", "MAX_BITS"]
+__all__ = ["main", "format_bound", "MAX_DIGITS", "MAX_BITS", "MAX_PSLQ_VALUES"]
 
 MAX_DIGITS = 100_000  # largest --digits
-MAX_BITS = bits_for_digits(MAX_DIGITS)  # largest --bits
+MAX_BITS = bits_for_digits(MAX_DIGITS)  # largest --bits, and the most `eval` raises precision to
+MAX_PSLQ_VALUES = 128  # most `pslq --values`: H is n x (n-1) big integers, O(n^2) work per iteration
+
+
+def format_bound(bound: Fraction) -> str:
+    """A non-negative bound as ``d.ddde+XX``, rounded up: never below the bound,
+    never zero for a positive one (``float`` would round to nearest and
+    underflow past 1e-308)."""
+    if bound <= 0:
+        return "0.000e+00"
+    e = (bound.numerator.bit_length() - bound.denominator.bit_length()) * 30103 // 100000
+    while Fraction(10) ** e > bound:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= bound:
+        e += 1
+    digits = ceil(bound / Fraction(10) ** (e - 3))  # 1000 to 10000
+    if digits == 10000:
+        digits, e = 1000, e + 1
+    return f"{digits // 1000}.{digits % 1000:03d}e{e:+03d}"
 
 
 def _add_shared(sub: argparse.ArgumentParser, *flags: str) -> None:
@@ -80,8 +102,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if not args.expr:
             raise ValueError("provide an expression or --formula-id")
         expr = parse_expr(args.expr)
-    value = evaluate_expr(expr, bits)
-    print(value.decimal(digits))
+    if all(term == ConstMonomial() for _, term in expr.terms):  # a rational: printed exactly
+        q = sum(coeff for coeff, _ in expr.terms)
+        print(truncated_decimal(q.numerator, q.denominator, digits))
+        return 0
+    # Ziv: double the precision until both ends of the error interval agree
+    while (text := evaluate_expr(expr, bits).decimal(digits)) is None:
+        if bits >= MAX_BITS:
+            raise ValueError(f"{digits} digits are not certified at {MAX_BITS} bits")
+        bits = min(2 * bits, MAX_BITS)
+    print(text)
     return 0
 
 
@@ -121,11 +151,11 @@ def _verify_line(report, fmt: str) -> str:
                 "id": report.record_id,
                 "status": status,
                 "digits": report.decimal_digits,
-                "residual_bound": f"{float(report.residual.magnitude_bound()):.3e}",
+                "residual_bound": format_bound(report.residual.magnitude_bound()),
             }
         )
     return f"{status} {report.record_id} (residual < 10^-{report.decimal_digits})" if report.passed \
-        else f"FAIL {report.record_id} residual bound {float(report.residual.magnitude_bound()):.3e}"
+        else f"FAIL {report.record_id} residual bound {format_bound(report.residual.magnitude_bound())}"
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -151,8 +181,8 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
 def _cmd_pslq(args: argparse.Namespace) -> int:
     bits, _ = _resolve_bits(args, default_digits=120)
     exprs = [chunk.strip() for chunk in args.values.split(";") if chunk.strip()]
-    if len(exprs) < 2:
-        raise ValueError("pslq needs at least two ;-separated expressions")
+    if not 2 <= len(exprs) <= MAX_PSLQ_VALUES:
+        raise ValueError(f"pslq needs 2 to {MAX_PSLQ_VALUES} ;-separated expressions")
     values = [evaluate_expr(parse_expr(e), bits) for e in exprs]
     try:
         report = pslq(values, args.max_norm, bits)
@@ -166,7 +196,7 @@ def _cmd_pslq(args: argparse.Namespace) -> int:
     rel = report.relation
     coeffs = ", ".join(str(c) for c in rel.coeffs)
     print(f"RELATION [{coeffs}] residual bound "
-          f"{float(rel.residual.magnitude_bound()):.3e} ({report.iterations} iterations)")
+          f"{format_bound(rel.residual.magnitude_bound())} ({report.iterations} iterations)")
     return 0
 
 

@@ -2,13 +2,20 @@
 
 The PSLQ implementation is the standard single-level algorithm (weighted
 diagonal row selection with gamma = 2/sqrt(3), corner Givens rotation,
-Hermite-style size reduction) run over fixed-point big integers.  Candidate
-relations coming out of the reduced basis are always confirmed by an exact
-certified re-evaluation against the input values before being returned, so
-internal rounding can delay but never corrupt a result.  When the search
-stops without a relation, the standard smallest-diagonal bound certifies
-that no relation with coefficients below the reported norm exists at the
-working precision.
+Hermite-style size reduction) run over fixed-point big integers.  Reduction
+after the first is incremental: an iteration swaps rows m and m+1 of H and
+rotates columns m and m+1, so no other diagonal and, in rows below m, no
+entry left of column m changes.  Those entries were reduced to a - t*b in
+[-|b|/2, |b|/2), whose nearest-integer quotient is exactly 0, so a row stops
+below column m unless a non-zero quotient at m+1 or m changed it; the
+iterates are those of the full reduction.  Only B is kept, since its
+columns are the candidate relations; the usual matrix A would never be read.
+Candidate relations are always confirmed by an exact certified
+re-evaluation against the input values before being returned, so internal
+rounding can delay but never corrupt a result.  When the search stops
+without a relation, the standard smallest-diagonal bound certifies that no
+relation with coefficients below the reported norm exists at the working
+precision.
 """
 from __future__ import annotations
 
@@ -19,12 +26,7 @@ from math import gcd, isqrt
 
 from .bigmath import FixReal
 
-__all__ = [
-    "RelationResult",
-    "PslqReport",
-    "PrecisionExhausted",
-    "pslq",
-]
+__all__ = ["RelationResult", "PslqReport", "PrecisionExhausted", "pslq"]
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -88,7 +90,6 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
     if max_norm < 1:
         raise ValueError("max_norm must be positive")
     f = prec_bits
-    one = 1 << f
     xs = [v.rescale(f).mantissa for v in values]
     if any(x == 0 for x in xs):
         raise PrecisionExhausted("an input value is indistinguishable from zero")
@@ -114,67 +115,64 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
                 raise PrecisionExhausted("degenerate partial sums")
             H[i][j] = (-(y[i] * y[j]) << f) // d
 
-    A = [[int(i == j) for j in range(n)] for i in range(n)]
-    B = [[int(i == j) for j in range(n)] for i in range(n)]
+    B = [[int(i == j) for j in range(n)] for i in range(n)]  # B[j]: column j of the transform
 
-    def reduce_row(i: int, j_start: int) -> None:
+    def reduce_row(i: int, j_start: int, j_stop: int = 0) -> None:
+        # Until a non-zero t changes row i, its quotients below column j_stop are 0.
         for j in range(j_start, -1, -1):
-            if H[j][j] == 0:
+            if j < j_stop:
+                return
+            hi, hj = H[i], H[j]
+            if hj[j] == 0:
                 raise PrecisionExhausted("vanishing diagonal during reduction")
-            t = _nint_div(H[i][j], H[j][j])
+            t = _nint_div(hi[j], hj[j])
             if t == 0:
                 continue
+            j_stop = 0
             y[j] += t * y[i]
             for k in range(j + 1):
-                H[i][k] -= t * H[j][k]
+                hi[k] -= t * hj[k]
+            bj, bi = B[j], B[i]
             for k in range(n):
-                A[i][k] -= t * A[j][k]
-                B[k][j] += t * B[k][i]
+                bj[k] += t * bi[k]
 
     for i in range(1, n):
         reduce_row(i, i - 1)
 
-    # gamma^2 = 4/3; compare 4^i 3^(n-i) H_ii^2 exactly
-    weights = [4**i * 3 ** (n - 1 - i) for i in range(n - 1)]
+    # gamma^2 = 4/3; compare w_i = 4^i 3^(n-1-i) H_ii^2 exactly
+    scale = [4**i * 3 ** (n - 1 - i) for i in range(n - 1)]
+    w = [scale[i] * H[i][i] * H[i][i] for i in range(n - 1)]
     noise_floor = 1 << 32
     detect = 1 << 80  # y mantissa below 2^(80-f): try the candidate column
 
     max_iter = 64 * n * n * max(max_norm.bit_length(), 8)
     for iteration in range(1, max_iter + 1):
-        m = 0
-        best = -1
-        for i in range(n - 1):
-            w = weights[i] * H[i][i] * H[i][i]
-            if w > best:
-                best = w
-                m = i
+        m = w.index(max(w))  # the first maximum
         y[m], y[m + 1] = y[m + 1], y[m]
         H[m], H[m + 1] = H[m + 1], H[m]
-        A[m], A[m + 1] = A[m + 1], A[m]
-        for row in B:
-            row[m], row[m + 1] = row[m + 1], row[m]
+        B[m], B[m + 1] = B[m + 1], B[m]
 
         if m < n - 2:
-            t0_sq = H[m][m] * H[m][m] + H[m][m + 1] * H[m][m + 1]
-            t0 = isqrt(t0_sq)
+            hmm, hmm1 = H[m][m], H[m][m + 1]
+            t0 = isqrt(hmm * hmm + hmm1 * hmm1)
             if t0 == 0:
                 raise PrecisionExhausted("vanishing corner during rotation")
-            hmm, hmm1 = H[m][m], H[m][m + 1]
             for i in range(m, n):
                 a_, b_ = H[i][m], H[i][m + 1]
                 H[i][m] = (a_ * hmm + b_ * hmm1) // t0
                 H[i][m + 1] = (b_ * hmm - a_ * hmm1) // t0
+        for j in range(m, min(m + 2, n - 1)):  # the only diagonals that moved
+            w[j] = scale[j] * H[j][j] * H[j][j]
 
         for i in range(m + 1, n):
-            reduce_row(i, min(i - 1, m + 1))
+            reduce_row(i, min(i - 1, m + 1), m)
 
         # detection: some y entry collapsed to the working resolution
         min_abs = min(abs(v) for v in y)
         if min_abs < detect:
             idx = min(range(n), key=lambda i: abs(y[i]))
-            candidate = [B[k][idx] for k in range(n)]
-            if any(candidate):
-                coeffs = _normalize_relation(candidate)
+            if any(B[idx]):
+                coeffs = _normalize_relation(B[idx])
                 residual = _confirm(coeffs, values, prec_bits)
                 if residual is not None:
                     bound = _diag_bound(H, n, f)

@@ -1,10 +1,12 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
-from bbpkit.catalog import MAX_MONOMIAL_POWER
-from bbpkit.cli import MAX_BITS, MAX_DIGITS, main
+import bbpkit.cli
+from bbpkit.catalog import MAX_MONOMIAL_POWER, default_catalog, verify
+from bbpkit.cli import MAX_BITS, MAX_DIGITS, MAX_PSLQ_VALUES, format_bound, main
 
 
 def run(capsys, *argv):
@@ -237,3 +239,69 @@ def test_eval_bits_prints_only_backed_digits(capsys):
     code, out, _ = run(capsys, "eval", "1 * pi", "--bits", "10")
     assert code == 0
     assert out.strip() == "3.1415926535897932"
+
+
+def test_eval_rational_prints_exactly(capsys):
+    code, out, _ = run(capsys, "eval", "1/10", "--digits", "20")
+    assert code == 0
+    assert out.strip() == "0.10000000000000000000"
+    code, out, _ = run(capsys, "eval", "--digits", "20", "--", "-1/3 + 1/30")
+    assert out.strip() == "-0.30000000000000000000"
+
+
+def test_eval_raises_precision_until_the_digits_are_backed(capsys):
+    # 0.1 + pi/2^400: at the starting 132 bits the interval straddles 0.1
+    code, out, _ = run(capsys, "eval", "1/10 + 1/2^400 * pi", "--digits", "20")
+    assert code == 0
+    assert out.strip() == "0.10000000000000000000"
+
+
+def test_eval_past_the_precision_cap_exit_code(capsys, monkeypatch):
+    # exactly 1/10, but not as a rational: no precision settles the 20th digit
+    monkeypatch.setattr(bbpkit.cli, "MAX_BITS", 1000)
+    code, out, err = run(capsys, "eval", "1/10 + 1/2 * P(1, 2^1, 1, [1]) + -1 * log2",
+                         "--digits", "20")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "1000 bits" in err
+
+
+@pytest.mark.parametrize("bound", [
+    Fraction(1, 10**308), Fraction(1, 10**308) + Fraction(1, 10**330), Fraction(1, 10**308 - 1),
+    Fraction(2**-1074), Fraction(1, 2**3330), Fraction(3, 2**3330) - Fraction(1, 2**4000),
+    Fraction(1), Fraction(10**7), Fraction(1, 10**5), Fraction(1, 10**1000),
+    Fraction(99995, 10**4), Fraction(99995, 10**4) - Fraction(1, 10**50), Fraction(1, 3),
+])
+def test_format_bound_rounds_up_and_is_tight(bound):
+    text = format_bound(bound)
+    printed = Fraction(text)
+    mantissa, exp = text.split("e")
+    assert printed >= bound > 0
+    assert printed - Fraction(10) ** (int(exp) - 3) < bound  # the next value down is below it
+    assert len(mantissa) == 5 and mantissa[0] != "0"
+
+
+def test_format_bound_exact_powers_of_ten():
+    for e in (-3330, -309, -308, -1, 0, 1, 300):
+        assert format_bound(Fraction(10) ** e) == f"1.000e{e:+03d}"
+    assert format_bound(Fraction(0)) == "0.000e+00"
+
+
+def test_residual_bounds_never_print_below_the_bound(capsys):
+    code, out, _ = run(capsys, "verify", "--id", "deg2-catalan-2e12", "--digits", "1000",
+                       "--format", "json-lines")
+    assert code == 0
+    printed = Fraction(json.loads(out)["residual_bound"])
+    report = verify(default_catalog().get("deg2-catalan-2e12"), 1000)
+    assert printed >= report.residual.magnitude_bound() > 0  # float() printed 0.000e+00
+    code, out, _ = run(capsys, "pslq", "--values", "1 * pi; 2 * pi", "--digits", "400")
+    assert code == 0
+    bound = out.split("residual bound ")[1].split()[0]
+    assert Fraction(bound) > 0
+
+
+def test_pslq_value_count_limit_exit_code(capsys):
+    # a zero denominator is never reached: the count is refused before evaluation
+    values = "; ".join(["1/0 * pi"] * (MAX_PSLQ_VALUES + 1))
+    code, out, err = run(capsys, "pslq", "--values", values)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and str(MAX_PSLQ_VALUES) in err

@@ -1,18 +1,22 @@
-"""Differential tests of evaluate, li_point_value, hurwitz_zeta and bernoulli against mpmath.
+"""Differential tests of evaluate, li_point_value, hurwitz_zeta, bernoulli and the
+digits `bbp eval` prints, against mpmath.
 
 Each oracle shares no code with bbpkit.  evaluate and li_point_value are
 called at several precisions per example, in the random order hypothesis
 draws, so values served by the precision cache from a higher precision are
 checked as well as fresh ones.
 """
+import contextlib
+import io
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bbpkit.bigmath import FixReal
 from bbpkit.catalog import bits_for_digits
+from bbpkit.cli import main
 from bbpkit.generator import LiPoint
 from bbpkit.pformula import EVAL_GUARD_BITS, PFormula, evaluate
 from bbpkit.reference import bernoulli, hurwitz_zeta, li_point_value
@@ -116,3 +120,39 @@ def test_bernoulli_agrees_with_mpmath_bernfrac():
     for n in range(601):
         p, q = mpmath.bernfrac(n)
         assert bernoulli(n) == Fraction(int(p), int(q)), n
+
+
+@st.composite
+def monomial_sums(draw):
+    """A rational plus rational multiples of pi^a * log2^b, as `bbp eval` text, and
+    the (coefficient, a, b) terms."""
+    # decimal and tiny binary denominators put values on or next to a digit boundary
+    dens = st.one_of(st.integers(1, 60), st.sampled_from([10, 200, 10**4, 2**100, 2**400]))
+    terms = [(Fraction(draw(st.integers(-60, 60)), draw(dens)),
+              draw(st.integers(0, 3)), draw(st.integers(0, 2)))
+             for _ in range(draw(st.integers(1, 4)))]
+    text = " + ".join(f"{c.numerator}/{c.denominator}" + "".join(
+        f" * {name}^{k}" for name, k in (("pi", a), ("log2", b)) if k) for c, a, b in terms)
+    return text, terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(monomial_sums(), st.integers(16, 120))
+@example(("1/10", [(Fraction(1, 10), 0, 0)]), 20)
+@example(("-7/200 + -3/2^400 * pi", [(Fraction(-7, 200), 0, 0), (Fraction(-3, 2**400), 1, 0)]), 30)
+def test_eval_prints_the_truncation_of_the_true_value(expr, digits):
+    text, terms = expr
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["eval", "--digits", str(digits), "--", text])
+    assert code == 0
+    ctx = _context(4 * digits)
+    v = ctx.fsum(ctx.mpf(c.numerator) / c.denominator * ctx.pi**a * ctx.log(2)**b
+                 for c, a, b in terms)
+    if all(a == b == 0 for _, a, b in terms):  # a rational: compare exactly
+        q = sum(c for c, _, _ in terms)
+        scaled, negative = abs(q.numerator) * 10**digits // q.denominator, q < 0
+    else:
+        scaled, negative = int(ctx.floor(abs(v) * ctx.mpf(10)**digits)), v < 0
+    ip, fp = divmod(scaled, 10**digits)
+    assert out.getvalue().strip() == ("-" if negative and scaled else "") + f"{ip}.{fp:0{digits}d}"

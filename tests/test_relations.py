@@ -113,3 +113,53 @@ def test_pslq_input_validation():
 def test_relation_result_rejects_zero_vector():
     with pytest.raises(ValueError):
         RelationResult((0, 0), FixReal.zero(8), 10)
+
+
+def _seeded_values(seed: int, n: int, bits: int, planted: int) -> list[FixReal]:
+    """n square roots of seeded integers at `bits` fraction bits; when planted > 0
+    the last value is their combination with seeded coefficients in [-planted, planted]."""
+    rng = random.Random(seed)
+    xs = [isqrt(rng.randrange(2, 10**9) << (2 * bits)) for _ in range(n - bool(planted))]
+    vals = [FixReal(x, bits, 1) for x in xs]
+    if planted:
+        c = [rng.randrange(-planted, planted + 1) for _ in xs]
+        vals.append(FixReal(sum(ci * x for ci, x in zip(c, xs)), bits, sum(map(abs, c)) + 1))
+    return vals
+
+
+# (seed, n, bits, planted, max_norm) -> (status, coeffs, exclusion_bound, iterations),
+# recorded from the full (non-incremental) size reduction
+PINNED_SEARCHES = [
+    (0, 2, 64, 0, 100, "excluded", None, 140, 3),
+    (1, 2, 64, 1, 100, "found", (1, -1), 18446744073709551616, 1),
+    (2, 3, 128, 0, 1000, "excluded", None, 2193, 17),
+    (3, 3, 128, 5, 1000, "found", (3, -3, -1), 3, 5),
+    (4, 4, 200, 0, 10000, "excluded", None, 10524, 58),
+    (5, 4, 256, 20, 1000000, "found", (2, 13, -19, -1), 12, 12),
+    (6, 5, 300, 0, 10000, "excluded", None, 10427, 108),
+    (7, 5, 400, 50, 1000000, "found", (44, 41, -18, 38, 1), 67, 29),
+    (8, 6, 400, 0, 10000, "excluded", None, 10990, 172),
+    (9, 6, 500, 9, 1000000, "found", (4, 9, -1, -7, -5, 1), 9, 52),
+    (10, 7, 500, 0, 100000, "excluded", None, 105427, 318),
+    (11, 7, 600, 30, 100000000, "found", (1, 2, -2, -24, -7, 18, 1), 10, 60),
+    (12, 8, 600, 0, 100000, "excluded", None, 108656, 468),
+    (13, 8, 700, 9, 100000000, "found", (4, 2, 5, 2, 4, 5, 7, 1), 2, 36),
+    (14, 9, 700, 0, 100000, "excluded", None, 102573, 620),
+    (15, 10, 800, 5, 100000000, "found", (5, -5, 3, 0, 2, 4, 0, -2, 0, 1), 4, 119),
+    (16, 10, 900, 0, 1000000, "excluded", None, 1071729, 960),
+    (17, 11, 1000, 3, 100000000, "found", (1, 2, -1, -3, -3, -2, 0, 3, 2, 0, -1), 3, 136),
+    (18, 12, 1000, 0, 100000, "excluded", None, 101839, 1270),
+    (19, 12, 1000, 4, 100000000, "found", (0, 2, 0, 3, 0, -2, -1, 0, 3, -1, 0, 1), 2, 129),
+]
+
+
+@pytest.mark.parametrize("seed, n, bits, planted, max_norm, status, coeffs, bound, iterations",
+                         PINNED_SEARCHES)
+def test_pslq_iterates_are_pinned(seed, n, bits, planted, max_norm, status, coeffs, bound,
+                                  iterations):
+    vals = _seeded_values(seed, n, bits, planted)
+    rep = pslq(vals, max_norm, bits)
+    assert (rep.status, rep.exclusion_bound, rep.iterations) == (status, bound, iterations)
+    assert (rep.relation.coeffs if rep.relation else None) == coeffs
+    if coeffs:
+        assert sum(c * v.mantissa for c, v in zip(coeffs, vals)) == 0
