@@ -142,12 +142,7 @@ class FixReal:
             + abs(other.mantissa) * self.err_ulp
             + self.err_ulp * other.err_ulp
         )
-        shift = self.frac_bits + other.frac_bits - out_bits
-        if shift <= 0:
-            return FixReal(prod << -shift, out_bits, err << -shift)
-        m = tdiv(prod, 1 << shift)
-        exact = (m << shift) == prod
-        return FixReal(m, out_bits, ceil_div(err, 1 << shift) + (0 if exact else 1))
+        return FixReal(prod, self.frac_bits + other.frac_bits, err).rescale(out_bits)
 
     def scale_rat(self, ratio: Fraction, out_bits: int | None = None) -> "FixReal":
         """Multiply by an exact rational, truncating toward zero."""

@@ -28,10 +28,11 @@ try:  # very long integers in reports should never trip the str() guard
 except (AttributeError, ValueError):
     pass
 
-__all__ = ["main", "format_bound", "MAX_DIGITS", "MAX_BITS", "MAX_PSLQ_VALUES"]
+__all__ = ["main", "format_bound", "MAX_DIGITS", "MAX_BITS", "EVAL_DOUBLINGS", "MAX_PSLQ_VALUES"]
 
 MAX_DIGITS = 100_000  # largest --digits
 MAX_BITS = bits_for_digits(MAX_DIGITS)  # largest --bits, and the most `eval` raises precision to
+EVAL_DOUBLINGS = 6  # `eval` raises precision at most 2^6-fold past its starting bits
 MAX_PSLQ_VALUES = 128  # most `pslq --values`: H is n x (n-1) big integers, O(n^2) work per iteration
 
 
@@ -106,11 +107,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         q = sum(coeff for coeff, _ in expr.terms)
         print(truncated_decimal(q.numerator, q.denominator, digits))
         return 0
-    # Ziv: double the precision until both ends of the error interval agree
+    # Ziv: double the precision until both ends of the error interval agree.  A
+    # value sitting exactly on a digit boundary never settles, so stop a few
+    # doublings past the precision the digits need.
+    cap = min(bits << EVAL_DOUBLINGS, MAX_BITS)
     while (text := evaluate_expr(expr, bits).decimal(digits)) is None:
-        if bits >= MAX_BITS:
-            raise ValueError(f"{digits} digits are not certified at {MAX_BITS} bits")
-        bits = min(2 * bits, MAX_BITS)
+        if bits >= cap:
+            raise ValueError(f"{digits} digits are not certified at {cap} bits")
+        bits = min(2 * bits, cap)
     print(text)
     return 0
 

@@ -50,61 +50,31 @@ class TrigValue(NamedTuple):
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
-# cos/sin(m * pi/d) indexed by m mod 2d, for each supported denominator
-_COS_TABLE: dict[int, list[TrigValue]] = {
-    1: [TrigValue(Fraction(1), _ZERO, _ZERO), TrigValue(Fraction(-1), _ZERO, _ZERO)],
-    2: [
-        TrigValue(Fraction(1), _ZERO, _ZERO),
-        TrigValue(_ZERO, _ZERO, _ZERO),
-        TrigValue(Fraction(-1), _ZERO, _ZERO),
-        TrigValue(_ZERO, _ZERO, _ZERO),
-    ],
-    3: [
-        TrigValue(Fraction(1), _ZERO, _ZERO),
-        TrigValue(_HALF, _ZERO, _ZERO),
-        TrigValue(-_HALF, _ZERO, _ZERO),
-        TrigValue(Fraction(-1), _ZERO, _ZERO),
-        TrigValue(-_HALF, _ZERO, _ZERO),
-        TrigValue(_HALF, _ZERO, _ZERO),
-    ],
-    4: [
-        TrigValue(Fraction(1), _ZERO, _ZERO),
-        TrigValue(_ZERO, _HALF, _ZERO),
-        TrigValue(_ZERO, _ZERO, _ZERO),
-        TrigValue(_ZERO, -_HALF, _ZERO),
-        TrigValue(Fraction(-1), _ZERO, _ZERO),
-        TrigValue(_ZERO, -_HALF, _ZERO),
-        TrigValue(_ZERO, _ZERO, _ZERO),
-        TrigValue(_ZERO, _HALF, _ZERO),
-    ],
+# cos(t*pi) on the first quadrant, t in units of pi
+_QUADRANT = {
+    Fraction(0): TrigValue(Fraction(1), _ZERO, _ZERO),
+    Fraction(1, 6): TrigValue(_ZERO, _ZERO, _HALF),
+    Fraction(1, 4): TrigValue(_ZERO, _HALF, _ZERO),
+    Fraction(1, 3): TrigValue(_HALF, _ZERO, _ZERO),
+    Fraction(1, 2): TrigValue(_ZERO, _ZERO, _ZERO),
 }
 
-_SIN_TABLE: dict[int, list[TrigValue]] = {
-    1: [TrigValue(_ZERO, _ZERO, _ZERO), TrigValue(_ZERO, _ZERO, _ZERO)],
-    2: [
-        TrigValue(_ZERO, _ZERO, _ZERO),
-        TrigValue(Fraction(1), _ZERO, _ZERO),
-        TrigValue(_ZERO, _ZERO, _ZERO),
-        TrigValue(Fraction(-1), _ZERO, _ZERO),
-    ],
-    3: [
-        TrigValue(_ZERO, _ZERO, _ZERO),
-        TrigValue(_ZERO, _ZERO, _HALF),
-        TrigValue(_ZERO, _ZERO, _HALF),
-        TrigValue(_ZERO, _ZERO, _ZERO),
-        TrigValue(_ZERO, _ZERO, -_HALF),
-        TrigValue(_ZERO, _ZERO, -_HALF),
-    ],
-    4: [
-        TrigValue(_ZERO, _ZERO, _ZERO),
-        TrigValue(_ZERO, _HALF, _ZERO),
-        TrigValue(Fraction(1), _ZERO, _ZERO),
-        TrigValue(_ZERO, _HALF, _ZERO),
-        TrigValue(_ZERO, _ZERO, _ZERO),
-        TrigValue(_ZERO, -_HALF, _ZERO),
-        TrigValue(Fraction(-1), _ZERO, _ZERO),
-        TrigValue(_ZERO, -_HALF, _ZERO),
-    ],
+
+def _cos_pi(t: Fraction) -> TrigValue:
+    """cos(t*pi), folded into the first quadrant by cos(-x) = cos x and cos(pi - x) = -cos x."""
+    t %= 2
+    if t > 1:
+        t = 2 - t
+    if t > _HALF:
+        return TrigValue(*(-v for v in _cos_pi(1 - t)))
+    return _QUADRANT[t]
+
+
+# (d, part) -> cos or sin(m*pi/d) indexed by m mod 2d; sin x = cos(x - pi/2)
+_TRIG: dict[tuple[int, str], list[TrigValue]] = {
+    (d, part): [_cos_pi(Fraction(m, d) - (_HALF if part == "im" else 0)) for m in range(2 * d)]
+    for d in (1, 2, 3, 4)
+    for part in ("re", "im")
 }
 
 
@@ -148,10 +118,24 @@ class LiPoint:
             if self.ang_den == 3 and self.scale_exp % 2:
                 raise PointError("pi/3 angles need an even scale exponent")
 
-    def trig(self, multiple: int) -> TrigValue:
-        """Exact cos/sin(multiple * angle) per the selected part."""
-        table = _COS_TABLE if self.part == "re" else _SIN_TABLE
-        return table[self.ang_den][(multiple * self.ang_num) % (2 * self.ang_den)]
+    def terms(self, length: int) -> list[tuple[int, TrigValue]]:
+        """(shift, v) for k = 1..length with 2^(-q*k/2) * trig(k*x) = 2^(-shift) * v.
+
+        trig is cos for the real part and sin for the imaginary part.  An odd
+        q*k writes 2^(-q*k/2) as sqrt(2) * 2^(-(q*k+1)/2), which swaps the
+        rational and sqrt(2) parts; no sqrt(3) value meets an odd q*k, since
+        pi/3 angles need an even scale exponent.
+        """
+        table = _TRIG[self.ang_den, self.part]
+        out = []
+        for k in range(1, length + 1):
+            tv = table[k * self.ang_num % (2 * self.ang_den)]
+            qk = self.scale_exp * k
+            if qk % 2:
+                out.append(((qk + 1) // 2, TrigValue(2 * tv.root2, tv.rat, _ZERO)))
+            else:
+                out.append((qk // 2, tv))
+        return out
 
     def __str__(self) -> str:
         return serialize_li_point(self)
@@ -217,8 +201,9 @@ def generate(pt: LiPoint, target_len: int) -> PFormula:
     """Exact formula of length target_len for the point, derived from periodicity.
 
     target_len must be a multiple of period(pt).  Coefficient j is fixed by
-    pre * a_j = 2^(-q*j/2) * trig(j*x); surviving sqrt(2) parts raise
-    IrrationalCarryError, a uniform sqrt(3) factor moves to the root3 flag.
+    pre * a_j = 2^(-q*j/2) * trig(j*x), read from pt.terms; surviving sqrt(2)
+    parts raise IrrationalCarryError, a uniform sqrt(3) factor moves to the
+    root3 flag.
     The result is checked against direct summation of the point at 80 bits.
     """
     length = int(target_len)
@@ -230,23 +215,11 @@ def generate(pt: LiPoint, target_len: int) -> PFormula:
 
     rats: list[Fraction] = []
     root3_parts: list[Fraction] = []
-    for j in range(1, length + 1):
-        tv = pt.trig(j)
-        qj = q * j
-        if qj % 2 == 0:
-            scale = Fraction(1, 1 << (qj // 2))
-            rat, r2, r3 = tv.rat * scale, tv.root2 * scale, tv.root3 * scale
-        else:
-            # 2^(-qj/2) = sqrt(2) * 2^(-(qj+1)/2); sqrt(2)*sqrt(3) never occurs
-            # for supported points, so reject it outright.
-            if tv.root3 != 0:
-                raise IrrationalCarryError(f"sqrt(6) factor at index {j} of {pt}")
-            scale = Fraction(1, 1 << ((qj + 1) // 2))
-            rat, r2, r3 = 2 * tv.root2 * scale, tv.rat * scale, _ZERO
-        if r2 != 0:
+    for j, (shift, v) in enumerate(pt.terms(length), 1):
+        if v.root2 != 0:
             raise IrrationalCarryError(f"sqrt(2) factor does not cancel at index {j} of {pt}")
-        rats.append(rat)
-        root3_parts.append(r3)
+        rats.append(v.rat / (1 << shift))
+        root3_parts.append(v.root3 / (1 << shift))
 
     if any(root3_parts):
         if any(rats):

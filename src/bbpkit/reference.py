@@ -2,11 +2,11 @@
 
 Everything a formula can be checked against lives here: base constants
 (pi by a Machin arctangent pair, log 2 by its geometric series, zeta(3),
-zeta(5), Catalan's constant and the fourth-order beta value through
-accelerated alternating sums, Cl2(pi/3) through Hurwitz zeta values),
-Hurwitz zeta by Euler-Maclaurin summation, Chebyshev-style acceleration of
-alternating series, direct summation of polylogarithm points, and constant
-monomials built from the cached bases.
+zeta(5), Catalan's constant, the fourth-order beta value and Cl2(pi/3)
+through accelerated alternating sums), Hurwitz zeta by Euler-Maclaurin
+summation, Chebyshev-style acceleration of alternating series, direct
+summation of polylogarithm points, and constant monomials built from the
+cached bases.
 
 All routines return certified FixReal values; precision is always an
 explicit bit count.  ``constant`` and ``li_point_value`` keep each value at
@@ -24,7 +24,7 @@ from math import comb
 from typing import Callable, Union
 
 from .bigmath import FixReal, ceil_div, fix_sqrt_int, precision_cache, tdiv
-from .generator import LiPoint
+from .generator import LiPoint, period
 
 __all__ = [
     "ConstMonomial",
@@ -266,17 +266,11 @@ def _beta_even(s: int, bits: int) -> FixReal:
 
 
 def _cl2_pi3(bits: int) -> FixReal:
-    # residues of sin(k*pi/3) modulo 6 reduce the Clausen value to four
-    # Hurwitz zetas with a sqrt(3)/72 prefactor
+    # grouping sin(k*pi/3) by k mod 6:
+    # Cl2(pi/3) = sqrt(3)/2 * sum (-1)^j [1/(3j+1)^2 + 1/(3j+2)^2]
     work = bits + 32
-    z = (
-        hurwitz_zeta(2, Fraction(1, 6), work)
-        + hurwitz_zeta(2, Fraction(1, 3), work)
-        - hurwitz_zeta(2, Fraction(2, 3), work)
-        - hurwitz_zeta(2, Fraction(5, 6), work)
-    )
-    root3 = fix_sqrt_int(3, work)
-    return z.mul(root3, work).scale_rat(Fraction(1, 72), work)
+    z = alt_sum(lambda j: Fraction(1, (3 * j + 1) ** 2) + Fraction(1, (3 * j + 2) ** 2), bits + 8)
+    return z.mul(fix_sqrt_int(3, work), work).scale_rat(Fraction(1, 2), work)
 
 
 _BUILDERS: dict[str, Callable[[int], FixReal]] = {
@@ -321,60 +315,34 @@ def li_point_value(pt: LiPoint, prec_bits: int) -> FixReal:
     """Direct summation of sum_k p^k trig(k x) / k^s with exact trig patterns.
 
     Scale factors keep |z| <= 1/sqrt(2), so the series terminates after about
-    2*prec/q terms.  Rational, sqrt(2) and sqrt(3) contributions accumulate
-    separately and are recombined at the end.
+    2*prec/q terms.  Term k + L of pt.terms is term k scaled by 2^(-q*L/2)
+    for the period L, so one period serves every k.  Rational, sqrt(2) and
+    sqrt(3) parts accumulate separately, each charged one ulp per truncation
+    before its root multiplies it, and are recombined at the end.
     """
     work = prec_bits + _GUARD
-    q = pt.scale_exp
     s = pt.degree
-    rat_acc = 0
-    r2_acc = 0
-    r3_acc = 0
-    err_terms = 0
-
-    k = 1
-    while q * k <= 2 * (work + 2):
-        tv = pt.trig(k)
-        qk = q * k
+    length = period(pt)
+    step = pt.scale_exp * length // 2
+    one_period = [
+        (shift, [(part, x.numerator, x.denominator) for part, x in enumerate(v) if x])
+        for shift, v in pt.terms(length)
+    ]
+    acc = [0, 0, 0]  # indexed like TrigValue: rational, sqrt(2), sqrt(3)
+    truncs = [0, 0, 0]
+    for k in range(1, 2 * (work + 2) // pt.scale_exp + 1):
+        j, i = divmod(k - 1, length)
+        shift, parts = one_period[i]
+        e = work - shift - j * step
         ks = k**s
-        if qk % 2 == 0:
-            shift = qk // 2
-            for value, bucket in ((tv.rat, 0), (tv.root2, 1), (tv.root3, 2)):
-                if value:
-                    t = _scaled_term(value, shift, ks, work)
-                    err_terms += 1
-                    if bucket == 0:
-                        rat_acc += t
-                    elif bucket == 1:
-                        r2_acc += t
-                    else:
-                        r3_acc += t
-        else:
-            # p^k = sqrt(2) * 2^(-(qk+1)/2): rational part moves to the sqrt(2)
-            # bucket, the sqrt(2) part doubles back to rational
-            shift = (qk + 1) // 2
-            if tv.root3:
-                raise ArithmeticError(f"sqrt(6) term while summing {pt}")
-            if tv.rat:
-                r2_acc += _scaled_term(tv.rat, shift, ks, work)
-                err_terms += 1
-            if tv.root2:
-                rat_acc += _scaled_term(2 * tv.root2, shift, ks, work)
-                err_terms += 1
-        k += 1
+        for part, num, den in parts:
+            acc[part] += tdiv(num << e, den * ks) if e >= 0 else tdiv(num, den * ks << -e)
+            truncs[part] += 1
 
-    total = FixReal(rat_acc, work, err_terms + 1)
-    if r2_acc:
-        total = total + FixReal(r2_acc, work, 1).mul(fix_sqrt_int(2, work), work)
-    if r3_acc:
-        total = total + FixReal(r3_acc, work, 1).mul(fix_sqrt_int(3, work), work)
+    # past the last term, |tail| < 2^(-work-2.5) / (1 - 2^(-1/2)) < 1 ulp
+    total = FixReal(acc[0], work, truncs[0] + 1)
+    for part, root in ((1, 2), (2, 3)):
+        if truncs[part]:
+            charged = FixReal(acc[part], work, truncs[part])
+            total = total + charged.mul(fix_sqrt_int(root, work), work)
     return total
-
-
-def _scaled_term(value: Fraction, shift: int, ks: int, work: int) -> int:
-    num = value.numerator
-    den = value.denominator * ks
-    e = work - shift
-    if e >= 0:
-        return tdiv(num << e, den)
-    return tdiv(num, den << -e)

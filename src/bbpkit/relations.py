@@ -70,7 +70,8 @@ def _confirm(coeffs: tuple[int, ...], values: list[FixReal], prec_bits: int) -> 
     for c, v in zip(coeffs, values):
         if c:
             total = total + v.scale_rat(Fraction(c), prec_bits)
-    if total.certified_below(Fraction(1, 1 << (prec_bits // 2))):
+    # a residual whose interval excludes 0 proves the relation false
+    if total.certified_sign() == 0 and total.certified_below(Fraction(1, 1 << (prec_bits // 2))):
         return total
     return None
 
@@ -79,9 +80,9 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
     """Search for integers c (not all zero) with sum c_i * values_i = 0.
 
     Returns a found relation (gcd-normalized, first nonzero coefficient
-    positive, residual certified below 2^(-prec_bits/2)) or an exclusion
-    bound showing no relation with |coefficients| <= max_norm exists at this
-    precision.  Raises PrecisionExhausted when the y-vector reaches the noise
+    positive, residual certified below 2^(-prec_bits/2) with an error
+    interval that contains 0) or an exclusion bound showing no relation with
+    |coefficients| <= max_norm exists at this precision.  Raises PrecisionExhausted when the y-vector reaches the noise
     floor without either outcome.
     """
     n = len(values)

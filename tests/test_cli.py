@@ -265,6 +265,16 @@ def test_eval_past_the_precision_cap_exit_code(capsys, monkeypatch):
     assert err.count("\n") == 1 and "1000 bits" in err
 
 
+def test_eval_refuses_a_boundary_value_a_few_doublings_past_its_start(capsys):
+    # 132 bits back 20 digits; six doublings later the interval still straddles 0.1
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "eval", "1/10 + 1/2 * P(1, 2^1, 1, [1]) + -1 * log2",
+                         "--digits", "20")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "8448 bits" in err
+    assert time.perf_counter() - t0 < 20
+
+
 @pytest.mark.parametrize("bound", [
     Fraction(1, 10**308), Fraction(1, 10**308) + Fraction(1, 10**330), Fraction(1, 10**308 - 1),
     Fraction(2**-1074), Fraction(1, 2**3330), Fraction(3, 2**3330) - Fraction(1, 2**4000),

@@ -1,5 +1,6 @@
-"""Differential tests of evaluate, li_point_value, hurwitz_zeta, bernoulli and the
-digits `bbp eval` prints, against mpmath.
+"""Differential tests of evaluate, li_point_value, the exact trigonometric
+values, hurwitz_zeta, bernoulli, Cl2(pi/3) and the digits `bbp eval` prints,
+against mpmath.
 
 Each oracle shares no code with bbpkit.  evaluate and li_point_value are
 called at several precisions per example, in the random order hypothesis
@@ -17,9 +18,9 @@ from hypothesis import example, given, settings, strategies as st
 from bbpkit.bigmath import FixReal
 from bbpkit.catalog import bits_for_digits
 from bbpkit.cli import main
-from bbpkit.generator import LiPoint
+from bbpkit.generator import _TRIG, LiPoint
 from bbpkit.pformula import EVAL_GUARD_BITS, PFormula, evaluate
-from bbpkit.reference import bernoulli, hurwitz_zeta, li_point_value
+from bbpkit.reference import bernoulli, constant, hurwitz_zeta, li_point_value
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -83,6 +84,21 @@ def points(draw):
     return LiPoint(draw(st.integers(1, 4)), scale, num, den, draw(st.sampled_from(["re", "im"])))
 
 
+def test_trig_lookup_agrees_with_mpmath():
+    ctx = mpmath.MPContext()
+    ctx.dps = 50
+    assert sorted(_TRIG) == [(d, part) for d in (1, 2, 3, 4) for part in ("im", "re")]
+    for (d, part), row in _TRIG.items():
+        assert len(row) == 2 * d
+        for m, tv in enumerate(row):
+            assert sum(1 for x in tv[1:] if x) <= 1, (d, part, m)
+            exact = ctx.fsum(ctx.mpf(x.numerator) / x.denominator * ctx.sqrt(r)
+                             for x, r in zip(tv, (1, 2, 3)))
+            angle = ctx.mpf(m) / d
+            ref = ctx.cospi(angle) if part == "re" else ctx.sinpi(angle)
+            assert abs(exact - ref) < ctx.mpf(10) ** -48, (d, part, m)
+
+
 @settings(max_examples=80, deadline=None)
 @given(points(), PRECISIONS)
 def test_li_point_value_agrees_with_mpmath_polylog(pt, precisions):
@@ -114,6 +130,12 @@ def test_hurwitz_zeta_agrees_with_mpmath_at_1000_digits(s, a):
     ctx = _context(bits)
     ref = ctx.zeta(s, ctx.mpf(a.numerator) / a.denominator)
     assert _within(hurwitz_zeta(s, a, bits), ctx, ref), (s, a)
+
+
+def test_cl2_pi3_agrees_with_mpmath_clsin_at_1000_digits():
+    bits = bits_for_digits(1000)
+    ctx = _context(bits)
+    assert _within(constant("cl2_pi3", bits), ctx, ctx.clsin(2, ctx.pi / 3))
 
 
 def test_bernoulli_agrees_with_mpmath_bernfrac():

@@ -2,11 +2,12 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from bbpkit import reference
-from bbpkit.bigmath import FixReal
+from bbpkit.bigmath import FixReal, fix_sqrt_int
 from bbpkit.generator import LiPoint
 from bbpkit.reference import (
     ConstMonomial,
@@ -186,6 +187,18 @@ def test_alt_sum_accepts_fixreal_terms():
     assert abs(d.value_fraction()) <= d.error_fraction()
 
 
+def test_cl2_pi3_agrees_with_the_hurwitz_route():
+    # residues of sin(k*pi/3) mod 6: Cl2(pi/3) = sqrt(3)/72 * [zeta(2, 1/6) + zeta(2, 1/3)
+    # - zeta(2, 2/3) - zeta(2, 5/6)], a route that shares no code with alt_sum
+    for bits in (340, 3400):
+        z = (hurwitz_zeta(2, Fraction(1, 6), bits) + hurwitz_zeta(2, Fraction(1, 3), bits)
+             - hurwitz_zeta(2, Fraction(2, 3), bits) - hurwitz_zeta(2, Fraction(5, 6), bits))
+        hur = z.mul(fix_sqrt_int(3, bits), bits).scale_rat(Fraction(1, 72), bits)
+        d = constant("cl2_pi3", bits) - hur
+        assert abs(d.value_fraction()) <= d.error_fraction(), bits
+        assert d.error_fraction() < Fraction(1, 1 << (bits - 8))
+
+
 # -- constant monomials ----------------------------------------------------------
 
 def test_const_monomial_one():
@@ -252,6 +265,24 @@ def test_li_point_catalan_identity_150_digits():
     combo = a.scale_rat(Fraction(3), bits) - b
     d = combo - constant("catalan", bits)
     assert d.certified_below(Fraction(1, 10**150))
+
+
+@pytest.mark.parametrize("pt", [LiPoint(2, 2, 1, 4, "re"), LiPoint(2, 2, 1, 3, "im"),
+                                LiPoint(3, 1, 3, 4, "re"), LiPoint(1, 3, 1, 4, "im")])
+def test_li_point_charges_each_part_its_root(pt):
+    # a truncation in the sqrt(2) or sqrt(3) part costs up to that root in ulps
+    bits = 400
+    v = li_point_value.__wrapped__(pt, bits)  # fresh, not served from the cache
+    n = [0, 0, 0]
+    for _, tv in pt.terms(2 * (v.frac_bits + 2) // pt.scale_exp):
+        for part, x in enumerate(tv):
+            n[part] += x != 0
+
+    def ceil_root(r: int, count: int) -> int:
+        x = r * count * count
+        return isqrt(x) + (isqrt(x) ** 2 < x)
+
+    assert v.err_ulp >= n[0] + ceil_root(2, n[1]) + ceil_root(3, n[2]), n
 
 
 def test_li_point_determinism():

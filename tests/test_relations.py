@@ -6,6 +6,7 @@ import pytest
 
 from bbpkit.bigmath import FixReal
 from bbpkit.catalog import bits_for_digits, default_catalog, evaluate_expr, parse_expr
+from bbpkit.reference import ConstMonomial, const_value
 from bbpkit.relations import PrecisionExhausted, RelationResult, pslq
 
 
@@ -101,6 +102,15 @@ def test_pslq_found_relation_residual_threshold():
     rep = pslq(vals, 100, 320)
     assert rep.relation is not None
     assert rep.relation.residual.certified_below(Fraction(1, 1 << 160))
+
+
+def test_pslq_refuses_a_relation_its_residual_disproves():
+    # over the nine monomials pi^a * log2^b (a, b < 3) at 20 digits the search
+    # once returned [1442, 142, -631, ...], whose residual is certified non-zero
+    bits = bits_for_digits(20)
+    vals = [const_value(ConstMonomial(a, b), bits) for a in range(3) for b in range(3)]
+    with pytest.raises(PrecisionExhausted):
+        pslq(vals, 10**6, bits)
 
 
 def test_pslq_input_validation():
