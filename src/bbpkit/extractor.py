@@ -2,20 +2,19 @@
 
 Hex digits of a formula value starting at an arbitrary bit position after the
 binary point, without computing the preceding digits.  For a prefactor
-``num / (2^t * odd)`` the term ``num * a_j * 2^e / (odd * (k*l + j)^s)`` is
-taken modulo one with the modulus ``D = odd * (k*l + j)^s``: head terms
-(those with a positive power of two left over, ``e >= 0``) go through builtin
-modular exponentiation, a few consecutive terms at a time under the product
-of their moduli; tail terms are divided directly until they drop below the
-working resolution; both are accumulated modulo one in fixed point.  There is
-one path for every prefactor; an odd denominator only widens the moduli.
-Everything is done in bits internally; hex is only the presentation layer.
+``num / (2^t * odd)`` the series is summed in the groups ``2^e * n / m`` of
+``pformula._groups``, shared with ``evaluate``, and each group is taken
+modulo one once under the modulus ``odd * m``: by builtin ``pow(2, e, odd *
+m)`` when ``e >= POW_MIN_EXP``, else by one shift and division, down to the
+working resolution.  There is one path for every prefactor; an odd
+denominator only widens the moduli.  Everything is done in bits internally;
+hex is only the presentation layer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pformula import FormulaError, PFormula, evaluate
+from .pformula import GROUP_BITS, FormulaError, PFormula, _groups, evaluate
 
 __all__ = [
     "ExtractRequest",
@@ -35,7 +34,7 @@ MAX_HEX_DIGITS = 1024
 MAX_GUARD_HEX = 64
 
 SIGN_PROBE_BITS = 64
-GROUP_BITS = 384  # modulus width at which a group of head terms is reduced
+POW_MIN_EXP = 8 * GROUP_BITS  # below this 2^e, one shift and division beat pow(2, e, m)
 
 
 class ExtractionError(ValueError):
@@ -80,11 +79,11 @@ def extract(req: ExtractRequest) -> ExtractResult:
     """Hex digits of frac(2^bit_pos * |value|), with a carry-distance certificate.
 
     The digits always describe the magnitude; the sign of the value is
-    certified by evaluation.  Each summed term charges one ulp to the error
-    budget, plus two for the dropped tail and the sign flip.  Raises
-    ConfidenceError when the accumulator lands within that budget of a carry
-    boundary, or when the sign stays unresolved at bit_pos + 4*(hex_digits +
-    guard_hex) + 64 bits; the sign is never guessed.
+    certified by evaluation.  Each group of terms is floored once and charges
+    one ulp to the error budget, plus two for the dropped tail and the sign
+    flip.  Raises ConfidenceError when the accumulator lands within that
+    budget of a carry boundary, or when the sign stays unresolved at
+    bit_pos + 4*(hex_digits + guard_hex) + 64 bits; the sign is never guessed.
     """
     p = to_extractable(req.formula)
     if p.is_zero():
@@ -96,44 +95,24 @@ def extract(req: ExtractRequest) -> ExtractResult:
     odd = den >> twos
     num = p.pre.numerator  # signed: the accumulator tracks frac(2^pos * value)
     pos = req.bit_pos - twos
-    s, b, l = p.degree, p.base_exp, p.length
-    terms = [(j, num * a) for j, a in enumerate(p.coeffs, start=1) if a]
-    coeff_sum = sum(abs(c) for _, c in terms)
-
-    # head blocks (e >= 0): consecutive terms are summed exactly into one
-    # fraction n/m (m the product of their moduli D, n scaled to the current
-    # block's 2^e) until m is GROUP_BITS wide, and one pow reduces the group:
-    # frac(n * 2^e / m) = frac(n * pow(2, e, m) / m), whose integer part falls
-    # out of the mask.  A pow on one wide modulus costs far less than several
-    # on narrow ones.
-    head_blocks = max(pos // b + 1, 0)
-    acc, n, m = 0, 0, 1
-    for k in range(head_blocks):
+    b = p.base_exp
+    coeff_sum = abs(num) * sum(abs(a) for a in p.coeffs)
+    # blocks k with pos - b*k + work + coeff_sum's bits + 2 > 0: the head (e >= 0)
+    # and the tail until its sum, below coeff_sum * 2^(e+1), drops under half an ulp
+    blocks = max(-(-(coeff_sum.bit_length() + work + pos + 2) // b), 0)
+    # a group adds frac(2^e * n / (odd * m)); n * 2^e and n * pow(2, e, m) differ
+    # by a multiple of m, so their floors after << work differ by a multiple of
+    # 2^work, which the mask drops
+    acc = 0
+    err = 2  # the dropped tail and the sign flip
+    for k, n, m in _groups(p, num, blocks):
         e = pos - b * k
-        base = k * l
-        n <<= b
-        for j, c in terms:
-            d = odd * (base + j) ** s
-            n = n * d + c * m
-            m *= d
-            if m.bit_length() > GROUP_BITS:
-                acc += (n * pow(2, e, m) << work) // m
-                n, m = 0, 1
-        acc &= mask
-    if m > 1:  # the last group, at the last head block's e
-        acc = (acc + ((n * pow(2, e, m) << work) // m)) & mask
-    # tail blocks (e < 0) until their sum, below coeff_sum * 2^(e+1), drops under half an ulp
-    k = head_blocks
-    while coeff_sum.bit_length() + work + pos - b * k + 2 > 0:
-        wpe = work + pos - b * k
-        base = k * l
-        for j, c in terms:
-            d = odd * (base + j) ** s
-            acc += (c << wpe) // d if wpe >= 0 else c // (d << -wpe)
-        acc &= mask
-        k += 1
-    # one ulp per term (a group's single floor costs less), the dropped tail, the sign flip
-    err = k * len(terms) + 2
+        m *= odd
+        if e >= POW_MIN_EXP:
+            n, e = n * pow(2, e, m), 0
+        shift = e + work
+        acc = (acc + ((n << shift) // m if shift >= 0 else n // (m << -shift))) & mask
+        err += 1
 
     tail_bits = 4 * req.guard_hex
     low = acc & ((1 << tail_bits) - 1)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm, log2
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .bigmath import FixReal, fix_sqrt_int, precision_cache, tdiv
 
@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 EVAL_GUARD_BITS = 64
+GROUP_BITS = 384  # a group of terms closes once its modulus is this wide
 
 
 class ParseError(ValueError):
@@ -382,41 +383,58 @@ def _check_precision(p: PFormula, prec_bits: int) -> None:
         raise FormulaError("prec_bits must be at least 8")
 
 
+def _groups(p: PFormula, num: int, blocks: int) -> Iterator[tuple[int, int, int]]:
+    """Blocks 0..blocks-1 of ``num * P(s, 2^B, l, A)``, summed exactly in groups.
+
+    A group folds consecutive nonzero terms into one fraction n/m, m the
+    product of their (k*l + j)^s, and closes once m is wider than GROUP_BITS
+    or after the last block.  Yields (k, n, m), k the block it closes in; the
+    group adds 2^(-B*k) * n/m to the series.  A group whose terms cancel
+    (n == 0) is skipped, one whose moduli multiply to 1 is not.
+    """
+    s, b, l = p.degree, p.base_exp, p.length
+    terms = [(j, num * a) for j, a in enumerate(p.coeffs, start=1) if a]
+    n, m = 0, 1
+    for k in range(blocks):
+        n <<= b
+        base = k * l
+        for j, c in terms:
+            d = (base + j) ** s
+            n = n * d + c * m
+            m *= d
+            if m.bit_length() > GROUP_BITS:
+                yield k, n, m
+                n, m = 0, 1
+    if n:
+        yield blocks - 1, n, m
+
+
 @precision_cache(check=_check_precision)
 def evaluate(p: PFormula, prec_bits: int) -> FixReal:
     """Certified fixed-point value of the formula.
 
-    Works at prec_bits + 64 guard bits; the outer sum over base blocks stops
-    once the remaining tail, bounded through the coefficient magnitude sum,
-    drops below one working ulp.  Every truncated division charges one ulp to
-    the certified error bound.  Raises FormulaError below 8 bits.
+    Works at prec_bits + 64 guard bits and sums base blocks until the tail,
+    bounded through the coefficient magnitude sum, drops below one working
+    ulp.  Each group of ``_groups`` is truncated once, at ``den * m`` for the
+    prefactor ``num/den``, and charges one ulp to the certified error bound;
+    the dropped tail charges one more.  Raises FormulaError below 8 bits.
     """
     work = prec_bits + EVAL_GUARD_BITS
     if p.is_zero():
         return FixReal(0, work, 0)
     num = p.pre.numerator
     den = p.pre.denominator
-    entries = [(j, a) for j, a in enumerate(p.coeffs, start=1) if a]
-    coeff_sum = sum(abs(a) for _, a in entries)
-    # tail after block k is below |pre| * coeff_sum * 2^(1 - B*k)
-    tail_num = abs(num) * coeff_sum << (work + 1)
+    b = p.base_exp
+    coeff_sum = sum(abs(a) for a in p.coeffs)
+    # the tail after block k is below |pre| * coeff_sum * 2^(1 - B*k), that is
+    # below one working ulp once 2^(B*k) exceeds t = (|num| * coeff_sum << (work + 1)) // den
+    blocks = -(-((abs(num) * coeff_sum << (work + 1)) // den).bit_length() // b)
     acc = 0
-    err = 0
-    k = 0
-    while tail_num > den << (p.base_exp * k):
-        shift = work - p.base_exp * k
-        block = 0
-        base = k * p.length
-        for j, a in entries:
-            d = den * (base + j) ** p.degree
-            if shift >= 0:
-                block += tdiv(num * a << shift, d)
-            else:
-                block += tdiv(num * a, d << -shift)
-            err += 1
-        acc += block
-        k += 1
-    err += 1  # dropped tail
+    err = 1  # the dropped tail
+    for k, n, m in _groups(p, num, blocks):
+        shift = work - b * k
+        acc += tdiv(n << shift, den * m) if shift >= 0 else tdiv(n, den * m << -shift)
+        err += 1
     result = FixReal(acc, work, err)
     if p.root3:
         result = result.mul(fix_sqrt_int(3, work), work)

@@ -185,14 +185,13 @@ def alt_sum(f: Callable[[int], Coefficient], prec_bits: int) -> FixReal:
     for _ in range(n - 1):
         d_prev, d = d, 6 * d - d_prev
 
-    b = Fraction(-1)
+    b = -1  # the Chebyshev weight, an integer at every step
     c = -d
     acc = 0
     acc_err = 0  # ulps at scale 2^-work, before the final division by d
     a0: Fraction | None = None
     for k in range(n):
-        assert b.denominator == 1
-        c = int(b) - c
+        c = b - c
         fk = f(k)
         if isinstance(fk, FixReal):
             acc_err += ceil_div(abs(c) * fk.err_ulp << work, 1 << fk.frac_bits)
@@ -201,7 +200,9 @@ def alt_sum(f: Callable[[int], Coefficient], prec_bits: int) -> FixReal:
             a0 = fk
         acc += tdiv(c * fk.numerator << work, fk.denominator)
         acc_err += 1
-        b = b * (2 * (k + n) * (k - n)) / ((2 * k + 1) * (k + 1))
+        b, rem = divmod(b * (2 * (k + n) * (k - n)), (2 * k + 1) * (k + 1))
+        if rem:
+            raise ArithmeticError(f"Chebyshev weight {k + 1} of {n} is not an integer")
 
     assert a0 is not None
     result = tdiv(acc, d)

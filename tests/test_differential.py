@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bbpkit.bigmath import FixReal
-from bbpkit.catalog import bits_for_digits
+from bbpkit.catalog import bits_for_digits, default_catalog, derive_bbp
 from bbpkit.cli import main
 from bbpkit.generator import _TRIG, LiPoint
 from bbpkit.pformula import EVAL_GUARD_BITS, PFormula, evaluate
@@ -70,6 +70,22 @@ def test_evaluate_agrees_with_mpmath(p, precisions):
         v = evaluate(p, bits)
         assert v.frac_bits == bits + EVAL_GUARD_BITS
         assert _within(v, ctx, ref), (p, bits)
+
+
+def test_evaluate_agrees_with_mpmath_at_1000_digits():
+    # the 33 extractable catalog formulas and the 24 unit formulas of the
+    # criterion-4 lattice; hypothesis draws formulas of length <= 4, these put
+    # several groups of terms into one base block (length 120) or run
+    # hundreds of blocks (base 2^12)
+    formulas = [(r.id, derive_bbp(r)) for r in default_catalog()
+                if r.kind in ("bbp_ready", "printed_formula")]
+    assert len(formulas) == 33
+    formulas += [(f"unit-{j}", PFormula(2, 12, 24, tuple(int(i == j) for i in range(24))))
+                 for j in range(24)]
+    bits = bits_for_digits(1000)
+    ctx = _context(bits)
+    for name, p in formulas:
+        assert _within(evaluate(p, bits), ctx, _formula_oracle(p, ctx)), name
 
 
 @st.composite

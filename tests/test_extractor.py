@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,7 @@ from bbpkit.extractor import (
     extract,
     to_extractable,
 )
-from bbpkit.pformula import FormulaError, evaluate, parse_p, stretch, zero_formula
+from bbpkit.pformula import FormulaError, PFormula, evaluate, parse_p, stretch, zero_formula
 
 
 TWO_LOG_TWO = parse_p("P(1, 2^1, 1, [1])")
@@ -140,6 +141,32 @@ def test_extract_folds_odd_denominator_into_modulus():
         want = digit_window(f, pos, 8, pos + 128)
         assert extract(ExtractRequest(f, pos, 8)).digits == want
         assert extract(ExtractRequest(g, pos, 8)).digits == want
+
+
+def test_extract_counts_a_group_whose_moduli_multiply_to_one():
+    # (2/3) log 2 at bit 0: the odd part 3 of the prefactor joins the moduli
+    f = PFormula(1, 1, 1, (1,), Fraction(1, 3))
+    assert extract(ExtractRequest(f, 0, 8)).digits == digit_window(f, 0, 8, 128)
+    # base 2^100: one block is summed, its only term has denominator 1, so the
+    # last group is n/m = 1/1; it still adds 1/3 to the extracted digits and
+    # 1/3 to the evaluated value
+    g = PFormula(1, 100, 1, (1,), Fraction(1, 3))
+    assert extract(ExtractRequest(g, 0, 8)).digits == digit_window(g, 0, 8, 128) == "55555555"
+    v = evaluate(g, 8)
+    assert abs(v.value_fraction() - Fraction(1, 3)) <= v.error_fraction()
+
+
+def test_extract_matches_window_across_the_pow_switch():
+    # the prefactor of deg5-zeta5-2e60 has a 16-bit odd part; from bit 2900 to
+    # 3300 the deepest groups move from a direct division to pow(2, e, m)
+    from bbpkit.catalog import default_catalog, derive_bbp
+
+    f = derive_bbp(default_catalog().get("deg5-zeta5-2e60"))
+    den = f.pre.denominator
+    assert (den // (den & -den)).bit_length() == 16
+    for pos in range(2900, 3301, 8):
+        want = digit_window(f, pos, 8, 3300 + 32 + 96)
+        assert extract(ExtractRequest(f, pos, 8)).digits == want, pos
 
 
 def test_tiny_negative_value_sign_is_certified():
