@@ -23,11 +23,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from importlib import resources
 from typing import Iterable, NamedTuple, Union
 
-from .bigmath import FixReal
+from .bigmath import CACHE_KEYS, FixReal
 from .generator import LiPoint, generate, period, scan_li_point
 from .pformula import (ParseError, PFormula, PHeader, Scanner, combine, evaluate, rebase,
                        scan_p, scan_rational, stretch)
@@ -336,6 +336,7 @@ def verify(record: IdentityRecord, decimal_digits: int = 200) -> VerifyReport:
 DERIVE_CHECK_DIGITS = 60  # a derived formula must match its lhs to this many digits
 
 
+@lru_cache(maxsize=CACHE_KEYS)
 def derive_bbp(record: IdentityRecord, target_header: PHeader | None = None) -> PFormula:
     """Run the generate/align/combine pipeline on the record's right side.
 
@@ -343,6 +344,9 @@ def derive_bbp(record: IdentityRecord, target_header: PHeader | None = None) -> 
     target header the terms combine on their minimal common header; a target
     header must be reachable from the minimal generated headers by rebase and
     stretch.  The output value is confirmed against the lhs before returning.
+    Results are kept per (record, header), the record by value, so a record
+    that shares an id but not its sides is derived and checked afresh; a
+    refusal is not kept.
     """
     target = None if target_header is None else PHeader(*target_header)
     parts: list[tuple[Fraction, PFormula]] = []

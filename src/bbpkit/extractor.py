@@ -9,10 +9,23 @@ m)`` when ``e >= POW_MIN_EXP``, else by one shift and division, down to the
 working resolution.  There is one path for every prefactor; an odd
 denominator only widens the moduli.  Everything is done in bits internally;
 hex is only the presentation layer.
+
+Partial sums of disjoint block ranges add modulo one, so a deep request
+splits its blocks into up to ``SHARDS`` contiguous ranges of equal length:
+the calling process sums the first and one forked child each of the others.
+A request stays in one process when ``os.fork`` is missing, when another
+thread is alive, or when a range would hold fewer than ``SHARD_MIN_TERMS``
+nonzero terms.  A child that fails or writes malformed output has its range
+summed again by the caller, so the digits never depend on a child; each
+range opens its own groups, and the certificate charges every group.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .pformula import GROUP_BITS, FormulaError, PFormula, _groups, evaluate
 
@@ -35,6 +48,11 @@ MAX_GUARD_HEX = 64
 
 SIGN_PROBE_BITS = 64
 POW_MIN_EXP = 8 * GROUP_BITS  # below this 2^e, one shift and division beat pow(2, e, m)
+# processes a deep request is split across, and the fewest nonzero terms each
+# one sums: about 16 to 35 ms of head loop, against some 2 ms to fork and reap
+SHARDS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1, 4)
+SHARD_MIN_TERMS = 1 << 14
 
 
 class ExtractionError(ValueError):
@@ -95,24 +113,13 @@ def extract(req: ExtractRequest) -> ExtractResult:
     odd = den >> twos
     num = p.pre.numerator  # signed: the accumulator tracks frac(2^pos * value)
     pos = req.bit_pos - twos
-    b = p.base_exp
     coeff_sum = abs(num) * sum(abs(a) for a in p.coeffs)
     # blocks k with pos - b*k + work + coeff_sum's bits + 2 > 0: the head (e >= 0)
     # and the tail until its sum, below coeff_sum * 2^(e+1), drops under half an ulp
-    blocks = max(-(-(coeff_sum.bit_length() + work + pos + 2) // b), 0)
-    # a group adds frac(2^e * n / (odd * m)); n * 2^e and n * pow(2, e, m) differ
-    # by a multiple of m, so their floors after << work differ by a multiple of
-    # 2^work, which the mask drops
-    acc = 0
-    err = 2  # the dropped tail and the sign flip
-    for k, n, m in _groups(p, num, blocks):
-        e = pos - b * k
-        m *= odd
-        if e >= POW_MIN_EXP:
-            n, e = n * pow(2, e, m), 0
-        shift = e + work
-        acc = (acc + ((n << shift) // m if shift >= 0 else n // (m << -shift))) & mask
-        err += 1
+    blocks = max(-(-(coeff_sum.bit_length() + work + pos + 2) // p.base_exp), 0)
+    terms = blocks * sum(1 for a in p.coeffs if a)
+    acc, groups = _split(partial(_head, p, num, odd, pos, work), blocks, terms, mask)
+    err = groups + 2  # the dropped tail and the sign flip
 
     tail_bits = 4 * req.guard_hex
     low = acc & ((1 << tail_bits) - 1)
@@ -136,6 +143,103 @@ def extract(req: ExtractRequest) -> ExtractResult:
         acc = -acc & mask
     digits = f"{acc >> tail_bits:0{req.hex_digits}X}"
     return ExtractResult(digits, margin.bit_length())
+
+
+def _head(p: PFormula, num: int, odd: int, pos: int, work: int,
+          start: int, stop: int) -> tuple[int, int]:
+    """(acc, groups) over blocks start..stop-1 of the series: the sum of
+    frac(2^pos * num/odd * group), each group floored to ``work`` bits, modulo
+    2^work, and the number of groups."""
+    b = p.base_exp
+    mask = (1 << work) - 1
+    acc = groups = 0
+    # a group adds frac(2^e * n / (odd * m)); n * 2^e and n * pow(2, e, m) differ
+    # by a multiple of m, so their floors after << work differ by a multiple of
+    # 2^work, which the mask drops
+    for k, n, m in _groups(p, num, start, stop):
+        e = pos - b * k
+        m *= odd
+        if e >= POW_MIN_EXP:
+            n, e = n * pow(2, e, m), 0
+        shift = e + work
+        acc = (acc + ((n << shift) // m if shift >= 0 else n // (m << -shift))) & mask
+        groups += 1
+    return acc, groups
+
+
+Head = Callable[[int, int], tuple[int, int]]
+
+
+def _split(head: Head, blocks: int, terms: int, mask: int) -> tuple[int, int]:
+    """head(0, blocks), summed over contiguous block ranges: the first here,
+    each other one in a forked child, whose range is summed here instead when
+    it fails.  Every child is reaped, and killed first if this process raises."""
+    shards = min(SHARDS, terms // SHARD_MIN_TERMS)
+    if shards < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return head(0, blocks)
+    cuts = [blocks * i // shards for i in range(shards + 1)]
+    children = []
+    try:
+        for start, stop in zip(cuts[1:-1], cuts[2:]):
+            children.append((_fork(head, start, stop), start, stop))
+        acc, groups = head(0, cuts[1])
+        while children:
+            child, start, stop = children.pop()
+            part = child and _result(*child, mask)
+            part_acc, part_groups = part or head(start, stop)
+            acc, groups = (acc + part_acc) & mask, groups + part_groups
+    finally:
+        if children:
+            from signal import SIGKILL  # on the error path only: signal costs ~1 ms to import
+        for child, _, _ in children:
+            if child:
+                os.kill(child[0], SIGKILL)
+                _result(*child, mask)
+    return acc, groups
+
+
+def _fork(head: Head, start: int, stop: int) -> tuple[int, int] | None:
+    """(pid, read end of its pipe) of a child that writes head(start, stop)
+    in hex and exits; None when the pipe or the fork fails."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            acc, groups = head(start, stop)
+            with open(w, "wb") as out:
+                out.write(b"%x %x" % (acc, groups))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _result(pid: int, fd: int, mask: int) -> tuple[int, int] | None:
+    """Reap a child: the (acc, groups) it wrote, or None when it failed or
+    wrote anything else."""
+    try:
+        with open(fd, "rb") as src:
+            data = src.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    try:
+        acc, groups = (int(x, 16) for x in data.split())
+    except ValueError:
+        return None
+    if os.waitstatus_to_exitcode(status) or not 0 <= acc <= mask or groups < 0:
+        return None
+    return acc, groups
 
 
 def digit_window(formula: PFormula, bit_pos: int, count: int, prec_bits: int) -> str:

@@ -383,19 +383,20 @@ def _check_precision(p: PFormula, prec_bits: int) -> None:
         raise FormulaError("prec_bits must be at least 8")
 
 
-def _groups(p: PFormula, num: int, blocks: int) -> Iterator[tuple[int, int, int]]:
-    """Blocks 0..blocks-1 of ``num * P(s, 2^B, l, A)``, summed exactly in groups.
+def _groups(p: PFormula, num: int, start: int, stop: int) -> Iterator[tuple[int, int, int]]:
+    """Blocks start..stop-1 of ``num * P(s, 2^B, l, A)``, summed exactly in groups.
 
     A group folds consecutive nonzero terms into one fraction n/m, m the
-    product of their (k*l + j)^s, and closes once m is wider than GROUP_BITS
-    or after the last block.  Yields (k, n, m), k the block it closes in; the
-    group adds 2^(-B*k) * n/m to the series.  A group whose terms cancel
-    (n == 0) is skipped, one whose moduli multiply to 1 is not.
+    product of their (k*l + j)^s; the first opens at block start, and each
+    closes once m is wider than GROUP_BITS or after the last block.  Yields
+    (k, n, m), k the block it closes in; the group adds 2^(-B*k) * n/m to the
+    series.  A group whose terms cancel (n == 0) is skipped, one whose moduli
+    multiply to 1 is not.
     """
     s, b, l = p.degree, p.base_exp, p.length
     terms = [(j, num * a) for j, a in enumerate(p.coeffs, start=1) if a]
     n, m = 0, 1
-    for k in range(blocks):
+    for k in range(start, stop):
         n <<= b
         base = k * l
         for j, c in terms:
@@ -406,7 +407,7 @@ def _groups(p: PFormula, num: int, blocks: int) -> Iterator[tuple[int, int, int]
                 yield k, n, m
                 n, m = 0, 1
     if n:
-        yield blocks - 1, n, m
+        yield stop - 1, n, m
 
 
 @precision_cache(check=_check_precision)
@@ -431,7 +432,7 @@ def evaluate(p: PFormula, prec_bits: int) -> FixReal:
     blocks = -(-((abs(num) * coeff_sum << (work + 1)) // den).bit_length() // b)
     acc = 0
     err = 1  # the dropped tail
-    for k, n, m in _groups(p, num, blocks):
+    for k, n, m in _groups(p, num, 0, blocks):
         shift = work - b * k
         acc += tdiv(n << shift, den * m) if shift >= 0 else tdiv(n, den * m << -shift)
         err += 1

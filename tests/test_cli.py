@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import bbpkit.catalog
 import bbpkit.cli
 from bbpkit.catalog import MAX_MONOMIAL_POWER, default_catalog, verify
 from bbpkit.cli import MAX_BITS, MAX_DIGITS, MAX_PSLQ_VALUES, format_bound, main
@@ -232,6 +233,29 @@ def test_digits_refuses_record_whose_rhs_disagrees_with_lhs(tmp_path, capsys):
                          "--pos", "0", "--count", "8")
     assert code == 2 and out == ""
     assert "disagrees with its lhs" in err
+
+
+def test_digits_derives_a_record_once_and_a_changed_record_afresh(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = bbpkit.catalog.generate
+    monkeypatch.setattr(bbpkit.catalog, "generate", lambda *a: calls.append(a) or real(*a))
+    bbpkit.catalog.derive_bbp.cache_clear()
+    argv = ("digits", "--formula-id", "deg2-catalan-2e12", "--pos", "100", "--count", "8")
+    first = run(capsys, *argv)
+    assert first[0] == 0 and calls
+    derived = len(calls)
+    assert run(capsys, *argv) == first
+    assert len(calls) == derived
+    # the same id with a right side that disagrees with its left side
+    path = tmp_path / "changed.txt"
+    path.write_text('[identity]\nid = "deg2-catalan-2e12"\nanchor = "a"\nkind = "bbp_ready"\n'
+                    'lhs = "1 * G"\nrhs = "3 * ImLi(2, 1, 3/4)"\n', encoding="utf-8")
+    for _ in range(2):
+        code, out, err = run(capsys, *argv, "--catalog", str(path))
+        assert code == 2 and out == ""
+        assert "disagrees with its lhs" in err
+    assert len(calls) == derived + 2
+    assert run(capsys, *argv) == first
 
 
 def test_eval_bits_prints_only_backed_digits(capsys):
