@@ -144,10 +144,8 @@ class FixReal:
         )
         return FixReal(prod, self.frac_bits + other.frac_bits, err).rescale(out_bits)
 
-    def scale_rat(self, ratio: Fraction, out_bits: int | None = None) -> "FixReal":
-        """Multiply by an exact rational, truncating toward zero."""
-        if out_bits is None:
-            out_bits = self.frac_bits
+    def scale_rat(self, ratio: Fraction, out_bits: int) -> "FixReal":
+        """Multiply by an exact rational, truncating toward zero at ``out_bits``."""
         num = self.mantissa * ratio.numerator << out_bits
         den = ratio.denominator << self.frac_bits
         m = tdiv(num, den)

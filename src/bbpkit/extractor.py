@@ -1,14 +1,11 @@
 """Position-addressable digit extraction.
 
 Hex digits of a formula value starting at an arbitrary bit position after the
-binary point, without computing the preceding digits.  For a prefactor
-``num / (2^t * odd)`` the series is summed in the groups ``2^e * n / m`` of
-``pformula._groups``, shared with ``evaluate``, and each group is taken
-modulo one once under the modulus ``odd * m``: by builtin ``pow(2, e, odd *
-m)`` when ``e >= POW_MIN_EXP``, else by one shift and division, down to the
-working resolution.  There is one path for every prefactor; an odd
-denominator only widens the moduli.  Everything is done in bits internally;
-hex is only the presentation layer.
+binary point, without computing the preceding digits.  The digits are read
+modulo one from ``pformula._scaled_sum`` at the bit position: the one
+certified series sum, which ``evaluate`` takes at position 0, with each group
+of terms floored once at the working resolution.  Everything is done in bits
+internally; hex is only the presentation layer.
 
 Partial sums of disjoint block ranges add modulo one, so a deep request
 splits its blocks into up to ``SHARDS`` contiguous ranges of equal length:
@@ -27,7 +24,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .pformula import GROUP_BITS, FormulaError, PFormula, _groups, evaluate
+from .pformula import FormulaError, PFormula, _blocks, _scaled_sum, evaluate
 
 __all__ = [
     "ExtractRequest",
@@ -47,7 +44,6 @@ MAX_HEX_DIGITS = 1024
 MAX_GUARD_HEX = 64
 
 SIGN_PROBE_BITS = 64
-POW_MIN_EXP = 8 * GROUP_BITS  # below this 2^e, one shift and division beat pow(2, e, m)
 # processes a deep request is split across, and the fewest nonzero terms each
 # one sums: about 16 to 35 ms of head loop, against some 2 ms to fork and reap
 SHARDS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -108,17 +104,9 @@ def extract(req: ExtractRequest) -> ExtractResult:
         return ExtractResult("0" * req.hex_digits, 4 * req.guard_hex)
     work = 4 * (req.hex_digits + req.guard_hex)
     mask = (1 << work) - 1
-    den = p.pre.denominator
-    twos = (den & -den).bit_length() - 1
-    odd = den >> twos
-    num = p.pre.numerator  # signed: the accumulator tracks frac(2^pos * value)
-    pos = req.bit_pos - twos
-    coeff_sum = abs(num) * sum(abs(a) for a in p.coeffs)
-    # blocks k with pos - b*k + work + coeff_sum's bits + 2 > 0: the head (e >= 0)
-    # and the tail until its sum, below coeff_sum * 2^(e+1), drops under half an ulp
-    blocks = max(-(-(coeff_sum.bit_length() + work + pos + 2) // p.base_exp), 0)
+    blocks = _blocks(p, req.bit_pos, work)
     terms = blocks * sum(1 for a in p.coeffs if a)
-    acc, groups = _split(partial(_head, p, num, odd, pos, work), blocks, terms, mask)
+    acc, groups = _split(partial(_scaled_sum, p, req.bit_pos, work), blocks, terms, mask)
     err = groups + 2  # the dropped tail and the sign flip
 
     tail_bits = 4 * req.guard_hex
@@ -145,43 +133,23 @@ def extract(req: ExtractRequest) -> ExtractResult:
     return ExtractResult(digits, margin.bit_length())
 
 
-def _head(p: PFormula, num: int, odd: int, pos: int, work: int,
-          start: int, stop: int) -> tuple[int, int]:
-    """(acc, groups) over blocks start..stop-1 of the series: the sum of
-    frac(2^pos * num/odd * group), each group floored to ``work`` bits, modulo
-    2^work, and the number of groups."""
-    b = p.base_exp
-    mask = (1 << work) - 1
-    acc = groups = 0
-    # a group adds frac(2^e * n / (odd * m)); n * 2^e and n * pow(2, e, m) differ
-    # by a multiple of m, so their floors after << work differ by a multiple of
-    # 2^work, which the mask drops
-    for k, n, m in _groups(p, num, start, stop):
-        e = pos - b * k
-        m *= odd
-        if e >= POW_MIN_EXP:
-            n, e = n * pow(2, e, m), 0
-        shift = e + work
-        acc = (acc + ((n << shift) // m if shift >= 0 else n // (m << -shift))) & mask
-        groups += 1
-    return acc, groups
-
-
 Head = Callable[[int, int], tuple[int, int]]
 
 
 def _split(head: Head, blocks: int, terms: int, mask: int) -> tuple[int, int]:
-    """head(0, blocks), summed over contiguous block ranges: the first here,
-    each other one in a forked child, whose range is summed here instead when
-    it fails.  Every child is reaped, and killed first if this process raises."""
+    """head(0, blocks) masked to 2^work, summed over contiguous block ranges:
+    the first here, each other one in a forked child, whose range is summed
+    here instead when it fails.  Every child is reaped, and killed first if
+    this process raises."""
     shards = min(SHARDS, terms // SHARD_MIN_TERMS)
     if shards < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return head(0, blocks)
+        acc, groups = head(0, blocks)
+        return acc & mask, groups
     cuts = [blocks * i // shards for i in range(shards + 1)]
     children = []
     try:
         for start, stop in zip(cuts[1:-1], cuts[2:]):
-            children.append((_fork(head, start, stop), start, stop))
+            children.append((_fork(head, start, stop, mask), start, stop))
         acc, groups = head(0, cuts[1])
         while children:
             child, start, stop = children.pop()
@@ -198,9 +166,9 @@ def _split(head: Head, blocks: int, terms: int, mask: int) -> tuple[int, int]:
     return acc, groups
 
 
-def _fork(head: Head, start: int, stop: int) -> tuple[int, int] | None:
-    """(pid, read end of its pipe) of a child that writes head(start, stop)
-    in hex and exits; None when the pipe or the fork fails."""
+def _fork(head: Head, start: int, stop: int, mask: int) -> tuple[int, int] | None:
+    """(pid, read end of its pipe) of a child that writes head(start, stop),
+    masked, in hex and exits; None when the pipe or the fork fails."""
     try:
         r, w = os.pipe()
     except OSError:
@@ -217,7 +185,7 @@ def _fork(head: Head, start: int, stop: int) -> tuple[int, int] | None:
             os.close(r)
             acc, groups = head(start, stop)
             with open(w, "wb") as out:
-                out.write(b"%x %x" % (acc, groups))
+                out.write(b"%x %x" % (acc & mask, groups))
             code = 0
         finally:
             os._exit(code)

@@ -15,7 +15,8 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .pformula import PFormula, PHeader, Scanner, canonicalize, evaluate, scan_int, zero_formula
+from .pformula import (MAX_DEGREE, PFormula, PHeader, Scanner, canonicalize, evaluate, scan_int,
+                       zero_formula)
 
 __all__ = [
     "LiPoint",
@@ -93,8 +94,8 @@ class LiPoint:
     part: str  # "re" | "im"
 
     def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise PointError("degree must be positive")
+        if not 1 <= self.degree <= MAX_DEGREE:
+            raise PointError(f"degree must be in [1, {MAX_DEGREE}]")
         if self.scale_exp < 1:
             raise PointError("scale exponent must be positive")
         if self.part not in ("re", "im"):

@@ -11,7 +11,10 @@ formulas, the canonical form (coefficient gcd folded into the prefactor,
 first nonzero coefficient positive), the two value-preserving structural
 transforms (stretch: index dilation; rebase: grouping of consecutive base
 blocks), alignment of several formulas onto one common header, rational
-linear combination, and certified fixed-point evaluation.
+linear combination, and the one certified series sum: ``_scaled_sum`` floors
+each group of terms of 2^pos * value once at a working precision.  Digit
+extraction reads it modulo one at its bit position; evaluation is the same
+sum at position 0.
 
 Formulas produced from imaginary parts at angle pi/3 carry an extra sqrt(3)
 factor; it is tracked by the ``root3`` flag, kept out of the integer
@@ -26,7 +29,7 @@ from functools import reduce
 from math import gcd, lcm, log2
 from typing import Iterator, NamedTuple, Sequence
 
-from .bigmath import FixReal, fix_sqrt_int, precision_cache, tdiv
+from .bigmath import FixReal, fix_sqrt_int, precision_cache
 
 __all__ = [
     "PFormula",
@@ -34,6 +37,7 @@ __all__ = [
     "ParseError",
     "FormulaError",
     "MAX_POWER_BITS",
+    "MAX_DEGREE",
     "Scanner",
     "scan_int",
     "scan_rational",
@@ -51,6 +55,8 @@ __all__ = [
 
 EVAL_GUARD_BITS = 64
 GROUP_BITS = 384  # a group of terms closes once its modulus is this wide
+POW_MIN_EXP = 8 * GROUP_BITS  # below this 2^e, one shift and division beat pow(2, e, m)
+MAX_DEGREE = 64  # largest series degree s; the catalog uses 5
 
 
 class ParseError(ValueError):
@@ -83,8 +89,8 @@ class PFormula:
     root3: bool = False
 
     def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise FormulaError("degree must be positive")
+        if not 1 <= self.degree <= MAX_DEGREE:
+            raise FormulaError(f"degree must be in [1, {MAX_DEGREE}]")
         if self.base_exp < 1:
             raise FormulaError("base exponent must be positive")
         if self.length < 1:
@@ -410,33 +416,57 @@ def _groups(p: PFormula, num: int, start: int, stop: int) -> Iterator[tuple[int,
         yield stop - 1, n, m
 
 
+def _blocks(p: PFormula, pos: int, work: int) -> int:
+    """Blocks after which the tail of 2^pos * value drops below one ulp at 2^-work.
+
+    The tail after block k is below 2^(pos + 1 - B*k) * |pre| * sum|A|, that is
+    below one ulp once 2^(B*k) exceeds 2^pos * (|num| * sum|A| << (work + 1)) / den,
+    whose bit length is at most pos plus that of the quotient's floor.
+    """
+    bound = abs(p.pre.numerator) * sum(abs(a) for a in p.coeffs) << (work + 1)
+    return -(-(pos + (bound // p.pre.denominator).bit_length()) // p.base_exp)
+
+
+def _scaled_sum(p: PFormula, pos: int, work: int, start: int, stop: int) -> tuple[int, int]:
+    """(acc, groups) over blocks start..stop-1 of 2^pos * value, at 2^-work.
+
+    Each group 2^e * n/m of ``_groups``, e = pos - t - B*k for the prefactor
+    num / (2^t * odd), is divided by odd * m and floored once; acc sums the
+    floors, unmasked.  From e = POW_MIN_EXP on, 2^e is reduced by
+    pow(2, e, odd * m), which moves a floor by a multiple of 2^work only.
+    """
+    den = p.pre.denominator
+    twos = (den & -den).bit_length() - 1
+    odd = den >> twos
+    b = p.base_exp
+    acc = groups = 0
+    for k, n, m in _groups(p, p.pre.numerator, start, stop):
+        e = pos - twos - b * k
+        m *= odd
+        if e >= POW_MIN_EXP:
+            n, e = n * pow(2, e, m), 0
+        shift = e + work
+        acc += (n << shift) // m if shift >= 0 else n // (m << -shift)
+        groups += 1
+    return acc, groups
+
+
 @precision_cache(check=_check_precision)
 def evaluate(p: PFormula, prec_bits: int) -> FixReal:
-    """Certified fixed-point value of the formula.
+    """Certified fixed-point value of the formula: the position-0 sum of
+    ``_scaled_sum``.
 
     Works at prec_bits + 64 guard bits and sums base blocks until the tail,
     bounded through the coefficient magnitude sum, drops below one working
-    ulp.  Each group of ``_groups`` is truncated once, at ``den * m`` for the
-    prefactor ``num/den``, and charges one ulp to the certified error bound;
-    the dropped tail charges one more.  Raises FormulaError below 8 bits.
+    ulp.  Each group of ``_groups`` is floored once and charges one ulp to the
+    certified error bound; the dropped tail charges one more.  Raises
+    FormulaError below 8 bits.
     """
     work = prec_bits + EVAL_GUARD_BITS
     if p.is_zero():
         return FixReal(0, work, 0)
-    num = p.pre.numerator
-    den = p.pre.denominator
-    b = p.base_exp
-    coeff_sum = sum(abs(a) for a in p.coeffs)
-    # the tail after block k is below |pre| * coeff_sum * 2^(1 - B*k), that is
-    # below one working ulp once 2^(B*k) exceeds t = (|num| * coeff_sum << (work + 1)) // den
-    blocks = -(-((abs(num) * coeff_sum << (work + 1)) // den).bit_length() // b)
-    acc = 0
-    err = 1  # the dropped tail
-    for k, n, m in _groups(p, num, 0, blocks):
-        shift = work - b * k
-        acc += tdiv(n << shift, den * m) if shift >= 0 else tdiv(n, den * m << -shift)
-        err += 1
-    result = FixReal(acc, work, err)
+    acc, groups = _scaled_sum(p, 0, work, 0, _blocks(p, 0, work))
+    result = FixReal(acc, work, groups + 1)
     if p.root3:
         result = result.mul(fix_sqrt_int(3, work), work)
     return result

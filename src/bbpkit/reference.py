@@ -21,7 +21,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Union
+from typing import Callable
 
 from .bigmath import FixReal, ceil_div, fix_sqrt_int, precision_cache, tdiv
 from .generator import LiPoint, period
@@ -169,10 +169,7 @@ def hurwitz_zeta(s: int, a: Fraction, prec_bits: int) -> FixReal:
 # accelerated alternating sums
 # ---------------------------------------------------------------------------
 
-Coefficient = Union[Fraction, FixReal]
-
-
-def alt_sum(f: Callable[[int], Coefficient], prec_bits: int) -> FixReal:
+def alt_sum(f: Callable[[int], Fraction], prec_bits: int) -> FixReal:
     """Accelerated sum of (-1)^k f(k) for totally monotone decreasing f.
 
     Chebyshev-weight acceleration: about 1.31 terms per decimal digit, with
@@ -188,26 +185,18 @@ def alt_sum(f: Callable[[int], Coefficient], prec_bits: int) -> FixReal:
     b = -1  # the Chebyshev weight, an integer at every step
     c = -d
     acc = 0
-    acc_err = 0  # ulps at scale 2^-work, before the final division by d
-    a0: Fraction | None = None
     for k in range(n):
         c = b - c
         fk = f(k)
-        if isinstance(fk, FixReal):
-            acc_err += ceil_div(abs(c) * fk.err_ulp << work, 1 << fk.frac_bits)
-            fk = fk.value_fraction()
-        if a0 is None:
-            a0 = fk
         acc += tdiv(c * fk.numerator << work, fk.denominator)
-        acc_err += 1
         b, rem = divmod(b * (2 * (k + n) * (k - n)), (2 * k + 1) * (k + 1))
         if rem:
             raise ArithmeticError(f"Chebyshev weight {k + 1} of {n} is not an integer")
 
-    assert a0 is not None
+    a0 = f(0)
     result = tdiv(acc, d)
     method_err = ceil_div(8 * abs(a0.numerator) << work, a0.denominator * d) + 1
-    err = ceil_div(acc_err, d) + 1 + method_err
+    err = ceil_div(n, d) + 1 + method_err  # one truncation per term, then the division
     return FixReal(result, work, err)
 
 

@@ -8,6 +8,7 @@ import bbpkit.catalog
 import bbpkit.cli
 from bbpkit.catalog import MAX_MONOMIAL_POWER, default_catalog, verify
 from bbpkit.cli import MAX_BITS, MAX_DIGITS, MAX_PSLQ_VALUES, format_bound, main
+from bbpkit.pformula import MAX_DEGREE
 
 
 def run(capsys, *argv):
@@ -207,6 +208,27 @@ def test_huge_literal_or_monomial_power_exit_code(capsys, argv):
     assert time.perf_counter() - t0 < 1
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "position" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "1 * P(99999, 2^1, 1, [1])", "--digits", "20"),
+    ("eval", "1 * ReLi(9999, 1, 3/4)", "--digits", "20"),
+    ("gen", "--point", "ReLi(99999999, 1, 3/4)"),
+    ("digits", "--formula", "P(99999999, 2^1, 1, [1])", "--pos", "100", "--count", "8"),
+])
+def test_huge_degree_exit_code(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"degree must be in [1, {MAX_DEGREE}]" in err
+
+
+def test_largest_degree_is_accepted(capsys):
+    code, out, _ = run(capsys, "eval", f"1 * P({MAX_DEGREE}, 2^1, 1, [1])", "--digits", "20")
+    assert code == 0 and out.strip() == "1.00000000000000000002"  # 1 + 2^-65 + ...
+    code, out, _ = run(capsys, "gen", "--point", f"ReLi({MAX_DEGREE}, 2, 0)")
+    assert code == 0 and out.strip() == f"1/2 * P({MAX_DEGREE}, 2^1, 1, [1])"
 
 
 def test_precision_limits_exit_code(capsys):

@@ -178,13 +178,16 @@ def monomial_sums(draw):
 @given(monomial_sums(), st.integers(16, 120))
 @example(("1/10", [(Fraction(1, 10), 0, 0)]), 20)
 @example(("-7/200 + -3/2^400 * pi", [(Fraction(-7, 200), 0, 0), (Fraction(-3, 2**400), 1, 0)]), 30)
+@example(("-1/2^400 * log2 + 1/1", [(Fraction(-1, 2**400), 0, 1), (Fraction(1), 0, 0)]), 16)
 def test_eval_prints_the_truncation_of_the_true_value(expr, digits):
     text, terms = expr
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["eval", "--digits", str(digits), "--", text])
     assert code == 0
-    ctx = _context(4 * digits)
+    # a term below 2^-400 can decide the digits next to a boundary, so the
+    # oracle carries the widest denominator's bits on top of 4 bits per digit
+    ctx = _context(4 * digits + max(c.denominator.bit_length() for c, _, _ in terms))
     v = ctx.fsum(ctx.mpf(c.numerator) / c.denominator * ctx.pi**a * ctx.log(2)**b
                  for c, a, b in terms)
     if all(a == b == 0 for _, a, b in terms):  # a rational: compare exactly

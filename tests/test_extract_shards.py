@@ -12,7 +12,7 @@ import pytest
 from bbpkit import extractor
 from bbpkit.catalog import default_catalog, derive_bbp
 from bbpkit.extractor import ExtractRequest, digit_window, extract
-from bbpkit.pformula import parse_p
+from bbpkit.pformula import _scaled_sum, parse_p
 
 LOG2 = parse_p("P(1, 2^1, 1, [1])")  # 2 log 2
 LOG2_AT_1E6 = "5247E600"  # digit_window(LOG2, 10**6, 8, 10**6 + 128) gives the same, in ~40 s
@@ -48,9 +48,9 @@ def one_shard(monkeypatch, req):
 
 
 def in_child(parent_pid, action):
-    """A stand-in for extractor._head that runs `action` in a forked child
-    and the real head loop in the parent."""
-    real = extractor._head
+    """A stand-in for extractor._scaled_sum that runs `action` in a forked
+    child and the real sum in the parent."""
+    real = extractor._scaled_sum
 
     def head(*args):
         if os.getpid() != parent_pid:
@@ -93,8 +93,7 @@ def test_each_cut_adds_at_most_one_group_to_the_charge(monkeypatch, shards):
     # sequential sum up to the groups' floors
     f = catalog_formula("deg5-zeta5-2e60")
     work, blocks = 64, 840
-    odd = f.pre.denominator >> ((f.pre.denominator & -f.pre.denominator).bit_length() - 1)
-    head = partial(extractor._head, f, f.pre.numerator, odd, 50_000, work)
+    head = partial(_scaled_sum, f, 50_000, work)
     acc, groups = head(0, blocks)
     monkeypatch.setattr(extractor, "SHARDS", shards)
     split_acc, split_groups = extractor._split(head, blocks, extractor.SHARD_MIN_TERMS * shards,
@@ -116,7 +115,7 @@ def test_fork_failure_computes_in_process(monkeypatch, forks, call):
 def test_failing_child_has_its_range_recomputed(monkeypatch, forks):
     req = ExtractRequest(catalog_formula("deg3-zeta3-2e12"), 50_000, 8)
     want = one_shard(monkeypatch, req)
-    monkeypatch.setattr(extractor, "_head", in_child(os.getpid(), lambda real, *a: os._exit(1)))
+    monkeypatch.setattr(extractor, "_scaled_sum", in_child(os.getpid(), lambda real, *a: os._exit(1)))
     got = extract(req)
     assert len(forks) == 1
     assert got.digits == want.digits
@@ -149,14 +148,14 @@ def test_child_writing_garbage_has_its_range_recomputed(monkeypatch, forks, garb
 
 def test_children_are_killed_when_the_parent_shard_raises(monkeypatch, forks):
     parent = os.getpid()
-    real = extractor._head
+    real = extractor._scaled_sum
 
     def head(*args):
         if os.getpid() != parent:
             time.sleep(60)
             return real(*args)
         raise MemoryError("parent shard")
-    monkeypatch.setattr(extractor, "_head", head)
+    monkeypatch.setattr(extractor, "_scaled_sum", head)
     t0 = time.monotonic()
     with pytest.raises(MemoryError):
         extract(ExtractRequest(LOG2, 200_000, 8))

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import floor
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bbpkit.pformula import (
     MAX_POWER_BITS,
+    POW_MIN_EXP,
     FormulaError,
     ParseError,
     PFormula,
@@ -18,6 +20,8 @@ from bbpkit.pformula import (
     serialize_p,
     stretch,
     zero_formula,
+    _blocks,
+    _scaled_sum,
 )
 
 # the worked base-2^12 length-24 combination for log^2 2
@@ -294,3 +298,53 @@ def test_evaluate_requires_min_precision():
 def test_evaluate_is_deterministic():
     p = parse_p("1/3 * P(2, 2^4, 3, [7, -2, 1])")
     assert evaluate(p, 128) == evaluate(p, 128)
+
+
+# -- the scaled series sum behind evaluate and extract ------------------------------
+
+# signed numerators over odd and even denominators
+_sum_formula = st.builds(
+    lambda s, b, coeffs, num, den: PFormula(s, b, len(coeffs), tuple(coeffs), Fraction(num, den)),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=10),
+    st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=4),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=1, max_value=64),
+)
+# positions on both sides of the switch to pow(2, e, m)
+_positions = st.one_of(st.integers(0, 300), st.integers(POW_MIN_EXP - 300, POW_MIN_EXP + 300))
+
+
+def _exact_scaled(p, pos, work, start, stop):
+    """2^(pos + work) times blocks start..stop-1 of the value, as a Fraction."""
+    return sum((p.pre * a / (k * p.length + j) ** p.degree
+                * Fraction(2) ** (pos + work - p.base_exp * k)
+                for k in range(start, stop) for j, a in enumerate(p.coeffs, start=1)),
+               Fraction(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sum_formula, _positions, st.integers(8, 128),
+       st.integers(0, 40), st.integers(0, 60), st.integers(0, 60))
+@example(parse_p("-5/12 * P(2, 2^3, 2, [3, -1])"), POW_MIN_EXP + 7, 64, 0, 5, 40)
+def test_scaled_sum_is_within_its_groups_of_the_exact_floor(p, pos, work, start, cut, length):
+    # each group is floored once, so the sum of floors lies below the exact
+    # floor by fewer than `groups` ulps, modulo 2^work once pow reduces 2^e;
+    # the two sides of a cut add up the same way
+    stop, mid = start + length, start + min(cut, length)
+    exact = floor(_exact_scaled(p, pos, work, start, stop))
+    (lo_acc, lo_groups), (hi_acc, hi_groups) = (_scaled_sum(p, pos, work, start, mid),
+                                                _scaled_sum(p, pos, work, mid, stop))
+    for acc, groups in (_scaled_sum(p, pos, work, start, stop),
+                        (lo_acc + hi_acc, lo_groups + hi_groups)):
+        assert (exact - acc) % (1 << work) < max(groups, 1), (acc, groups)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sum_formula, _positions, st.integers(8, 128))
+def test_blocks_leave_a_tail_below_one_ulp(p, pos, work):
+    blocks = _blocks(p, pos, work)
+    tail = abs(_exact_scaled(p, pos, work, blocks, blocks + 20))
+    rest = (abs(p.pre) * sum(abs(a) for a in p.coeffs)
+            * Fraction(2) ** (pos + work + 1 - p.base_exp * (blocks + 20)))
+    assert tail + rest < 1

@@ -181,12 +181,6 @@ def test_alt_sum_beta4_cross_check():
     assert _close(s, KNOWN["cl4_pi2"], 55)
 
 
-def test_alt_sum_accepts_fixreal_terms():
-    s = alt_sum(lambda k: FixReal.from_fraction(Fraction(1, k + 1), 300), 200)
-    d = s - constant("log2", 300)
-    assert abs(d.value_fraction()) <= d.error_fraction()
-
-
 def test_cl2_pi3_agrees_with_the_hurwitz_route():
     # residues of sin(k*pi/3) mod 6: Cl2(pi/3) = sqrt(3)/72 * [zeta(2, 1/6) + zeta(2, 1/3)
     # - zeta(2, 2/3) - zeta(2, 5/6)], a route that shares no code with alt_sum
