@@ -3,20 +3,22 @@
 A point is the real or imaginary part of Li_s at z = 2^(-q/2) * exp(i*pi*n/d)
 with d in {1, 2, 3, 4}.  Coefficients are derived from first principles: the
 series is folded over one period L of exp(i*x) chosen so that 2^(-q*L/2) is an
-integer power of two, the exact trigonometric values are carried in the field
-Q(sqrt2, sqrt3), and the sqrt(2) parts are required to cancel identically.
-Imaginary parts at angle pi/3 retain a common sqrt(3) factor, which moves into
-the prefactor flag and makes the result evaluate-only.
+integer power of two, and the exact trigonometric values are carried in the
+field Q(sqrt2, sqrt3).  ``part_formulas`` splits the folded series into one
+rational formula per part (rational, sqrt(2), sqrt(3)); the point's value is
+their sum, each times its root.  ``generate`` requires the sqrt(2) part to
+cancel identically.  Imaginary parts at angle pi/3 retain a common sqrt(3)
+factor, which moves into the prefactor flag and makes the result evaluate-only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
-from .pformula import (MAX_DEGREE, PFormula, PHeader, Scanner, canonicalize, evaluate, scan_int,
-                       zero_formula)
+from .pformula import (MAX_DEGREE, PFormula, PHeader, Scanner, canonicalize, check_base_exp,
+                       scan_int, zero_formula)
 
 __all__ = [
     "LiPoint",
@@ -24,6 +26,7 @@ __all__ = [
     "PointError",
     "IrrationalCarryError",
     "period",
+    "part_formulas",
     "generate",
     "li_series_header",
     "scan_li_point",
@@ -118,6 +121,7 @@ class LiPoint:
             # yields sqrt(6) terms with no way to cancel
             if self.ang_den == 3 and self.scale_exp % 2:
                 raise PointError("pi/3 angles need an even scale exponent")
+        check_base_exp(self.scale_exp * period(self) // 2, PointError)
 
     def terms(self, length: int) -> list[tuple[int, TrigValue]]:
         """(shift, v) for k = 1..length with 2^(-q*k/2) * trig(k*x) = 2^(-shift) * v.
@@ -198,61 +202,45 @@ def li_series_header(pt: LiPoint) -> PHeader:
     return PHeader(pt.degree, pt.scale_exp * length // 2, length)
 
 
-def generate(pt: LiPoint, target_len: int) -> PFormula:
-    """Exact formula of length target_len for the point, derived from periodicity.
+def part_formulas(pt: LiPoint, length: int) -> list[tuple[int, PFormula]]:
+    """(root, formula) for each nonzero part of the point's series, folded over length terms.
 
-    target_len must be a multiple of period(pt).  Coefficient j is fixed by
-    pre * a_j = 2^(-q*j/2) * trig(j*x), read from pt.terms; surviving sqrt(2)
-    parts raise IrrationalCarryError, a uniform sqrt(3) factor moves to the
-    root3 flag.
-    The result is checked against direct summation of the point at 80 bits.
+    length must be a multiple of period(pt).  pt.terms splits each term into
+    its rational, sqrt(2) and sqrt(3) parts; the parts with root 1, 2 and 3
+    each become one canonical P(s, 2^(q*length/2), length, A), and the point
+    is the sum of sqrt(root) * formula over the list.
     """
-    length = int(target_len)
+    length = int(length)
     per = period(pt)
     if length < 1 or length % per != 0:
         raise PointError(f"target length {length} is not a multiple of the period {per}")
-    q = pt.scale_exp
-    base_exp = q * length // 2
+    parts: tuple[list[Fraction], ...] = ([], [], [])
+    for shift, v in pt.terms(length):
+        for values, x in zip(parts, v):
+            values.append(x / (1 << shift))
+    out = []
+    for root, values in zip((1, 2, 3), parts):
+        if any(values):
+            den = lcm(*(v.denominator for v in values))
+            coeffs = tuple(int(v * den) for v in values)
+            formula = PFormula(pt.degree, pt.scale_exp * length // 2, length, coeffs,
+                               Fraction(1, den))
+            out.append((root, canonicalize(formula)))
+    return out
 
-    rats: list[Fraction] = []
-    root3_parts: list[Fraction] = []
-    for j, (shift, v) in enumerate(pt.terms(length), 1):
-        if v.root2 != 0:
-            raise IrrationalCarryError(f"sqrt(2) factor does not cancel at index {j} of {pt}")
-        rats.append(v.rat / (1 << shift))
-        root3_parts.append(v.root3 / (1 << shift))
 
-    if any(root3_parts):
-        if any(rats):
+def generate(pt: LiPoint, target_len: int) -> PFormula:
+    """Exact formula of length target_len for the point, from part_formulas.
+
+    target_len must be a multiple of period(pt).  A sqrt(2) part, or a
+    rational part beside a sqrt(3) part, raises IrrationalCarryError; a lone
+    sqrt(3) part moves its factor to the root3 flag.
+    """
+    parts = dict(part_formulas(pt, target_len))
+    if 2 in parts:
+        raise IrrationalCarryError(f"sqrt(2) factor does not cancel for {pt}")
+    if 3 in parts:
+        if 1 in parts:
             raise IrrationalCarryError(f"mixed rational and sqrt(3) coefficients for {pt}")
-        values = root3_parts
-        root3 = True
-    else:
-        values = rats
-        root3 = False
-
-    if not any(values):
-        return zero_formula(pt.degree)
-
-    den = 1
-    for v in values:
-        den = den * v.denominator // gcd(den, v.denominator)
-    coeffs = tuple(int(v * den) for v in values)
-    formula = canonicalize(
-        PFormula(pt.degree, base_exp, length, coeffs, Fraction(1, den), root3)
-    )
-    _assert_matches_reference(pt, formula)
-    return formula
-
-
-def _assert_matches_reference(pt: LiPoint, formula: PFormula, bits: int = 80) -> None:
-    # cheap numerical confirmation that the derived coefficients reproduce the
-    # point value; import deferred to avoid a module cycle
-    from . import reference
-
-    lhs = evaluate(formula, bits)
-    rhs = reference.li_point_value(pt, bits)
-    diff = lhs - rhs
-    tolerance = diff.error_fraction() + Fraction(1, 1 << (bits - 8))
-    if abs(diff.value_fraction()) > tolerance:
-        raise AssertionError(f"generated formula disagrees with direct summation for {pt}")
+        return replace(parts[3], root3=True)
+    return parts.get(1, zero_formula(pt.degree))

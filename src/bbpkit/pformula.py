@@ -40,6 +40,7 @@ __all__ = [
     "MAX_DEGREE",
     "Scanner",
     "scan_int",
+    "check_base_exp",
     "scan_rational",
     "scan_p",
     "parse_p",
@@ -205,6 +206,13 @@ def scan_int(sc: Scanner) -> int:
     return sign * value
 
 
+def check_base_exp(base_exp: int, error: type[ValueError] = FormulaError) -> None:
+    """Refuse a series base 2^base_exp longer than MAX_POWER_BITS bits, the limit
+    scan_int sets on a written 2^e, before a coefficient table is built on it."""
+    if base_exp > MAX_POWER_BITS:
+        raise error(f"base 2^{base_exp} is longer than {MAX_POWER_BITS} bits")
+
+
 def scan_rational(sc: Scanner) -> Fraction:
     """``int [/ int]``, each side in scan_int's form."""
     num = scan_int(sc)
@@ -326,8 +334,8 @@ def align(ps: Sequence[PFormula]) -> list[PFormula]:
     """Bring all formulas onto the minimal common header, preserving values.
 
     The common base exponent is the lcm of the inputs' base exponents (reached
-    by rebase); the common length is then the lcm of the rebased lengths
-    (reached by stretch).
+    by rebase), refused by check_base_exp when too long; the common length is
+    then the lcm of the rebased lengths (reached by stretch).
     """
     if not ps:
         return []
@@ -338,6 +346,7 @@ def align(ps: Sequence[PFormula]) -> list[PFormula]:
     if not nonzero:
         return list(ps)
     common_b = lcm(*(p.base_exp for p in nonzero))
+    check_base_exp(common_b)
     rebased = [p if p.is_zero() else rebase(p, common_b // p.base_exp) for p in ps]
     common_l = lcm(*(p.length for p in rebased if not p.is_zero()))
     return [p if p.is_zero() else stretch(p, common_l // p.length) for p in rebased]

@@ -1,12 +1,13 @@
-"""Independent high-precision oracles.
+"""High-precision values of the terms an identity is built from.
 
-Everything a formula can be checked against lives here: base constants
-(pi by a Machin arctangent pair, log 2 by its geometric series, zeta(3),
-zeta(5), Catalan's constant, the fourth-order beta value and Cl2(pi/3)
-through accelerated alternating sums), Hurwitz zeta by Euler-Maclaurin
-summation, Chebyshev-style acceleration of alternating series, direct
-summation of polylogarithm points, and constant monomials built from the
-cached bases.
+Base constants come from oracles that share no code with the formula
+algebra: pi by a Machin arctangent pair, log 2 by its geometric series,
+zeta(3), zeta(5), Catalan's constant, the fourth-order beta value and
+Cl2(pi/3) through Chebyshev-style acceleration of alternating series, and
+Hurwitz zeta by Euler-Maclaurin summation.  Constant monomials are built from
+the cached bases.  A polylogarithm point is the one exception: its value is
+the certified sum of its ``generator.part_formulas``, so it is checked
+against the base constants, not against itself.
 
 All routines return certified FixReal values; precision is always an
 explicit bit count.  ``constant`` and ``li_point_value`` keep each value at
@@ -24,7 +25,8 @@ from math import comb
 from typing import Callable
 
 from .bigmath import FixReal, ceil_div, fix_sqrt_int, precision_cache, tdiv
-from .generator import LiPoint, period
+from .generator import LiPoint, part_formulas, period
+from .pformula import EVAL_GUARD_BITS, evaluate
 
 __all__ = [
     "ConstMonomial",
@@ -297,42 +299,16 @@ def const_value(mono: ConstMonomial, prec_bits: int) -> FixReal:
 
 
 # ---------------------------------------------------------------------------
-# direct polylogarithm point summation
+# polylogarithm points
 # ---------------------------------------------------------------------------
 
 @precision_cache()
 def li_point_value(pt: LiPoint, prec_bits: int) -> FixReal:
-    """Direct summation of sum_k p^k trig(k x) / k^s with exact trig patterns.
-
-    Scale factors keep |z| <= 1/sqrt(2), so the series terminates after about
-    2*prec/q terms.  Term k + L of pt.terms is term k scaled by 2^(-q*L/2)
-    for the period L, so one period serves every k.  Rational, sqrt(2) and
-    sqrt(3) parts accumulate separately, each charged one ulp per truncation
-    before its root multiplies it, and are recombined at the end.
-    """
-    work = prec_bits + _GUARD
-    s = pt.degree
-    length = period(pt)
-    step = pt.scale_exp * length // 2
-    one_period = [
-        (shift, [(part, x.numerator, x.denominator) for part, x in enumerate(v) if x])
-        for shift, v in pt.terms(length)
-    ]
-    acc = [0, 0, 0]  # indexed like TrigValue: rational, sqrt(2), sqrt(3)
-    truncs = [0, 0, 0]
-    for k in range(1, 2 * (work + 2) // pt.scale_exp + 1):
-        j, i = divmod(k - 1, length)
-        shift, parts = one_period[i]
-        e = work - shift - j * step
-        ks = k**s
-        for part, num, den in parts:
-            acc[part] += tdiv(num << e, den * ks) if e >= 0 else tdiv(num, den * ks << -e)
-            truncs[part] += 1
-
-    # past the last term, |tail| < 2^(-work-2.5) / (1 - 2^(-1/2)) < 1 ulp
-    total = FixReal(acc[0], work, truncs[0] + 1)
-    for part, root in ((1, 2), (2, 3)):
-        if truncs[part]:
-            charged = FixReal(acc[part], work, truncs[part])
-            total = total + charged.mul(fix_sqrt_int(root, work), work)
+    """Certified value of the point: sqrt(root) * evaluate(formula) summed over
+    part_formulas for one period, at prec_bits + EVAL_GUARD_BITS."""
+    work = prec_bits + EVAL_GUARD_BITS
+    total = FixReal.zero(work)
+    for root, p in part_formulas(pt, period(pt)):
+        v = evaluate(p, prec_bits)
+        total += v if root == 1 else v.mul(fix_sqrt_int(root, work), work)
     return total

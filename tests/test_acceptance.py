@@ -15,6 +15,7 @@ from bbpkit.generator import LiPoint, generate, period
 from bbpkit.pformula import PFormula, PHeader, canonicalize, evaluate
 from bbpkit.reference import constant, const_value, ConstMonomial, hurwitz_zeta, li_point_value
 from bbpkit.relations import pslq
+from mp_oracle import context, polylog_part, within
 
 CATALOG = default_catalog()
 
@@ -150,7 +151,7 @@ def test_criterion_5_extraction_consistency():
 
 
 def test_criterion_6_generator_reference_agreement():
-    """evaluate(generate(pt)) matches direct summation to 100 digits across
+    """evaluate(generate(pt)) matches mpmath's polylog to 100 digits across
     the supported point grid (degrees <= 5, scale exponents <= 6)."""
     pts = []
     for s in range(1, 6):
@@ -169,11 +170,11 @@ def test_criterion_6_generator_reference_agreement():
                 pts.append(LiPoint(s, q, 0, 1, "re"))
     t0 = time.time()
     bits = 340  # 100 digits plus slack
-    tol = Fraction(1, 10**100)
+    ctx = context(bits)
+    tol = ctx.mpf(10) ** -100
     for pt in pts:
         f = generate(pt, period(pt))
-        d = evaluate(f, bits) - li_point_value(pt, bits)
-        assert abs(d.value_fraction()) <= d.error_fraction() + tol, pt
+        assert within(evaluate(f, bits), ctx, polylog_part(pt, ctx), tol), pt
     elapsed = time.time() - t0
     assert elapsed < 300
     _report(f"6 PASS: {len(pts)} grid points agree to 100 digits in {elapsed:.1f}s")
@@ -210,14 +211,13 @@ def test_criterion_8_prefactor_adjudication(s, q):
     f = generate(pt, 24)
     assert f.base_exp == 12 * q
     bits = 340
-    want = li_point_value(pt, bits)
-    good = evaluate(f, bits) - want
-    assert good.certified_below(Fraction(1, 10**100))
+    ctx = context(bits)
+    want = polylog_part(pt, ctx)
+    assert within(evaluate(f, bits), ctx, want, ctx.mpf(10) ** -100)
 
     inflated = PFormula(f.degree, f.base_exp, f.length, f.coeffs, f.pre * 2**s, f.root3)
-    bad = evaluate(inflated, bits) - want
-    gap = abs(want.value_fraction()) * (2**s - 1) / 2
-    assert not bad.certified_below(gap)
+    gap = abs(want) * (2**s - 1) / 2
+    assert not within(evaluate(inflated, bits), ctx, want, gap)
     _report(
         f"8 PASS: (s={s}, q={q}) quarter-angle series carries prefactor 1/2^{12*q}; "
         f"the 1/2^{12*q - s} variant misses by a factor 2^{s}"

@@ -186,6 +186,9 @@ def test_flags_a_subcommand_ignores_are_refused(argv):
 @pytest.mark.parametrize("argv", [
     ("digits", "--formula", "1/3^999999999 * P(1, 2^1, 1, [1])", "--pos", "0", "--count", "8"),
     ("eval", "2^999999999 * pi"),
+    ("eval", "1 * ImLi(3, 999999, 1/4)", "--digits", "20"),
+    ("gen", "--point", "ReLi(2, 99999998, 0)"),
+    ("combine", "--terms", "1 * P(1, 2^3, 1, [1]) + 1 * P(1, 2^99999, 1, [1])"),
 ])
 def test_huge_power_exit_code(capsys, argv):
     t0 = time.perf_counter()
@@ -222,6 +225,12 @@ def test_huge_degree_exit_code(capsys, argv):
     assert time.perf_counter() - t0 < 1
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and f"degree must be in [1, {MAX_DEGREE}]" in err
+
+
+def test_largest_point_base_is_accepted(capsys):
+    # ImLi(3, 16383, 1/4) folds over 8 terms onto the base 2^65532, just inside MAX_POWER_BITS
+    code, out, _ = run(capsys, "eval", "1 * ImLi(3, 16383, 1/4)", "--digits", "20")
+    assert code == 0 and out.strip() == "0.00000000000000000000"
 
 
 def test_largest_degree_is_accepted(capsys):

@@ -15,28 +15,16 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bbpkit.bigmath import FixReal
 from bbpkit.catalog import bits_for_digits, default_catalog, derive_bbp
 from bbpkit.cli import main
 from bbpkit.generator import _TRIG, LiPoint
 from bbpkit.pformula import EVAL_GUARD_BITS, PFormula, evaluate
 from bbpkit.reference import bernoulli, constant, hurwitz_zeta, li_point_value
+from mp_oracle import context, polylog_part, within
 
 mpmath = pytest.importorskip("mpmath")
 
 PRECISIONS = st.lists(st.integers(8, 400), min_size=2, max_size=4)
-
-
-def _context(prec_bits: int):
-    ctx = mpmath.MPContext()
-    ctx.prec = prec_bits + 160
-    return ctx
-
-
-def _within(v: FixReal, ctx, ref) -> bool:
-    """|v - ref| lies inside v's certified error; the oracle's own error, about
-    2^-80 ulp at its 160 extra bits, gets 2^-40 ulp."""
-    return abs(ctx.mpf(v.mantissa) - ctx.ldexp(ref, v.frac_bits)) <= v.err_ulp + ctx.ldexp(1, -40)
 
 
 @st.composite
@@ -64,12 +52,12 @@ def _formula_oracle(p: PFormula, ctx):
 @settings(max_examples=120, deadline=None)
 @given(formulas(), PRECISIONS)
 def test_evaluate_agrees_with_mpmath(p, precisions):
-    ctx = _context(max(precisions))
+    ctx = context(max(precisions))
     ref = _formula_oracle(p, ctx)
     for bits in precisions:
         v = evaluate(p, bits)
         assert v.frac_bits == bits + EVAL_GUARD_BITS
-        assert _within(v, ctx, ref), (p, bits)
+        assert within(v, ctx, ref), (p, bits)
 
 
 def test_evaluate_agrees_with_mpmath_at_1000_digits():
@@ -83,9 +71,9 @@ def test_evaluate_agrees_with_mpmath_at_1000_digits():
     formulas += [(f"unit-{j}", PFormula(2, 12, 24, tuple(int(i == j) for i in range(24))))
                  for j in range(24)]
     bits = bits_for_digits(1000)
-    ctx = _context(bits)
+    ctx = context(bits)
     for name, p in formulas:
-        assert _within(evaluate(p, bits), ctx, _formula_oracle(p, ctx)), name
+        assert within(evaluate(p, bits), ctx, _formula_oracle(p, ctx)), name
 
 
 @st.composite
@@ -118,23 +106,19 @@ def test_trig_lookup_agrees_with_mpmath():
 @settings(max_examples=80, deadline=None)
 @given(points(), PRECISIONS)
 def test_li_point_value_agrees_with_mpmath_polylog(pt, precisions):
-    ctx = _context(max(precisions))
-    z = ctx.power(2, ctx.mpf(-pt.scale_exp) / 2)
-    if pt.ang_num:
-        z *= ctx.expjpi(ctx.mpf(pt.ang_num) / pt.ang_den)
-    w = ctx.polylog(pt.degree, z)
-    ref = ctx.re(w) if pt.part == "re" else ctx.im(w)
+    ctx = context(max(precisions))
+    ref = polylog_part(pt, ctx)
     for bits in precisions:
-        assert _within(li_point_value(pt, bits), ctx, ref), (pt, bits)
+        assert within(li_point_value(pt, bits), ctx, ref), (pt, bits)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 6), st.integers(1, 12), st.integers(1, 12), st.integers(8, 300))
 def test_hurwitz_zeta_agrees_with_mpmath(s, u, v, bits):
     a = Fraction(min(u, v), max(u, v))
-    ctx = _context(bits)
+    ctx = context(bits)
     ref = ctx.zeta(s, ctx.mpf(a.numerator) / a.denominator)
-    assert _within(hurwitz_zeta(s, a, bits), ctx, ref), (s, a, bits)
+    assert within(hurwitz_zeta(s, a, bits), ctx, ref), (s, a, bits)
 
 
 @pytest.mark.parametrize("s", [2, 3, 5])
@@ -143,15 +127,15 @@ def test_hurwitz_zeta_agrees_with_mpmath(s, u, v, bits):
 def test_hurwitz_zeta_agrees_with_mpmath_at_1000_digits(s, a):
     # the Euler-Maclaurin cut grows with the precision; hypothesis stays below 300 bits
     bits = bits_for_digits(1000)
-    ctx = _context(bits)
+    ctx = context(bits)
     ref = ctx.zeta(s, ctx.mpf(a.numerator) / a.denominator)
-    assert _within(hurwitz_zeta(s, a, bits), ctx, ref), (s, a)
+    assert within(hurwitz_zeta(s, a, bits), ctx, ref), (s, a)
 
 
 def test_cl2_pi3_agrees_with_mpmath_clsin_at_1000_digits():
     bits = bits_for_digits(1000)
-    ctx = _context(bits)
-    assert _within(constant("cl2_pi3", bits), ctx, ctx.clsin(2, ctx.pi / 3))
+    ctx = context(bits)
+    assert within(constant("cl2_pi3", bits), ctx, ctx.clsin(2, ctx.pi / 3))
 
 
 def test_bernoulli_agrees_with_mpmath_bernfrac():
@@ -187,7 +171,7 @@ def test_eval_prints_the_truncation_of_the_true_value(expr, digits):
     assert code == 0
     # a term below 2^-400 can decide the digits next to a boundary, so the
     # oracle carries the widest denominator's bits on top of 4 bits per digit
-    ctx = _context(4 * digits + max(c.denominator.bit_length() for c, _, _ in terms))
+    ctx = context(4 * digits + max(c.denominator.bit_length() for c, _, _ in terms))
     v = ctx.fsum(ctx.mpf(c.numerator) / c.denominator * ctx.pi**a * ctx.log(2)**b
                  for c, a, b in terms)
     if all(a == b == 0 for _, a, b in terms):  # a rational: compare exactly

@@ -13,7 +13,7 @@ from bbpkit.generator import (
     serialize_li_point,
 )
 from bbpkit.pformula import ParseError, PHeader, canonicalize, evaluate, rebase
-from bbpkit.reference import li_point_value
+from mp_oracle import context, polylog_part, within
 
 
 def test_point_validation():
@@ -114,18 +114,18 @@ def test_generate_matches_direct_summation_everywhere():
         LiPoint(5, 2, 0, 1, "re"),
         LiPoint(4, 3, 1, 2, "re"),  # odd scale, angle pi/2: cancels through zeros
     ]
+    ctx = context(340)
     for pt in pts:
         p = generate(pt, period(pt))
-        d = evaluate(p, 340) - li_point_value(pt, 340)
-        assert abs(d.value_fraction()) <= d.error_fraction() + Fraction(1, 10**100), pt
+        assert within(evaluate(p, 340), ctx, polylog_part(pt, ctx), ctx.mpf(10) ** -100), pt
 
 
 def test_generate_root3_flag():
     pt = LiPoint(2, 2, 1, 3, "im")
     p = generate(pt, period(pt))
     assert p.root3
-    d = evaluate(p, 340) - li_point_value(pt, 340)
-    assert abs(d.value_fraction()) <= d.error_fraction() + Fraction(1, 10**100)
+    ctx = context(340)
+    assert within(evaluate(p, 340), ctx, polylog_part(pt, ctx), ctx.mpf(10) ** -100)
 
 
 def test_generate_consistent_with_rebase_and_stretch():

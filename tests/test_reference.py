@@ -2,7 +2,6 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 
@@ -20,6 +19,8 @@ from bbpkit.reference import (
     pi_alt,
     pi_machin,
 )
+from bbpkit.pformula import EVAL_GUARD_BITS
+from mp_oracle import context, polylog_part, within
 
 # 60 significant digits each, frozen from an independent multiprecision source
 KNOWN = {
@@ -229,7 +230,7 @@ def test_pilog2_monomial_vs_catalog_formula():
     assert d.certified_below(Fraction(1, 10**200))
 
 
-# -- direct polylogarithm summation ---------------------------------------------
+# -- polylogarithm points -----------------------------------------------------
 
 def test_li_point_negative_half_log():
     # Li_1 at -1/2 is -log(3/2); oracle: log(3/2) = sum (-1)^(k+1) / (k 2^k)
@@ -264,19 +265,15 @@ def test_li_point_catalan_identity_150_digits():
 @pytest.mark.parametrize("pt", [LiPoint(2, 2, 1, 4, "re"), LiPoint(2, 2, 1, 3, "im"),
                                 LiPoint(3, 1, 3, 4, "re"), LiPoint(1, 3, 1, 4, "im")])
 def test_li_point_charges_each_part_its_root(pt):
-    # a truncation in the sqrt(2) or sqrt(3) part costs up to that root in ulps
+    # the sqrt(2) or sqrt(3) part's bound is scaled by its root: the mpmath
+    # polylog value lies inside the certified bound, fresh and from the cache
     bits = 400
-    v = li_point_value.__wrapped__(pt, bits)  # fresh, not served from the cache
-    n = [0, 0, 0]
-    for _, tv in pt.terms(2 * (v.frac_bits + 2) // pt.scale_exp):
-        for part, x in enumerate(tv):
-            n[part] += x != 0
-
-    def ceil_root(r: int, count: int) -> int:
-        x = r * count * count
-        return isqrt(x) + (isqrt(x) ** 2 < x)
-
-    assert v.err_ulp >= n[0] + ceil_root(2, n[1]) + ceil_root(3, n[2]), n
+    ctx = context(bits)
+    ref = polylog_part(pt, ctx)
+    li_point_value(pt, 2 * bits)
+    for v in (li_point_value.__wrapped__(pt, bits), li_point_value(pt, bits)):
+        assert v.frac_bits == bits + EVAL_GUARD_BITS
+        assert within(v, ctx, ref), pt
 
 
 def test_li_point_determinism():
