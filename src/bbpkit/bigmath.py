@@ -1,21 +1,23 @@
 """Exact big-integer, big-rational and fixed-point real arithmetic.
 
 Rationals are plain ``fractions.Fraction`` values.
-Fixed-point reals carry an integer mantissa, a binary scale and a certified
-error bound in units of the last place; every operation propagates that bound
-soundly (the bound may grow, it never understates).  All values are immutable
-and all operations pure, so everything here can be shared freely across
-threads.
+Fixed-point reals (``FixReal``) are tuple-backed immutable values of an
+integer mantissa, a binary scale and a certified error bound in units of the
+last place; every operation propagates that bound soundly (the bound may
+grow, it never understates) and builds exactly one result.  All values are
+immutable and all operations pure, so everything here can be shared freely
+across threads.
 
 Rounding is truncation toward zero throughout, with the truncation charged to
-the error bound.  ``precision_cache`` memoizes a function of a key and a
+the error bound.  Rescaling to fewer fraction bits is a shift, never a
+division by a power of two; a rational scale factor divides by its
+denominator alone.  ``precision_cache`` memoizes a function of a key and a
 precision, serving lower precisions from the highest one computed.
 """
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from math import isqrt
@@ -43,12 +45,15 @@ def ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def truncated_decimal(num: int, den: int, digits: int) -> str:
-    """num/den (den > 0) truncated toward zero at ``digits`` fractional digits.
+def truncated_decimal(num: int, den: int, digits: int, frac_bits: int = 0) -> str:
+    """num / (den * 2^frac_bits) (den > 0) truncated toward zero at ``digits``
+    fractional digits; the power of two is divided out by a shift.
 
     A value that truncates to zero prints without a sign.
     """
-    scaled = abs(num) * 10**digits // den
+    scaled = abs(num) * 10**digits >> frac_bits
+    if den != 1:
+        scaled //= den
     ip, fp = divmod(scaled, 10**digits)
     sign = "-" if num < 0 and scaled else ""
     return f"{sign}{ip}.{fp:0{digits}d}"
@@ -66,24 +71,48 @@ def powmod(base: int, exp: int, modulus: int) -> int:
     return pow(base, exp, modulus)
 
 
-@dataclass(frozen=True, slots=True)
-class FixReal:
+class _Fields(NamedTuple):
+    mantissa: int
+    frac_bits: int
+    err_ulp: int = 0
+
+
+def _refuse(self, other):
+    raise TypeError(f"unsupported operator for FixReal and {type(other).__name__!r}")
+
+
+_build = tuple.__new__  # one FixReal from a (mantissa, frac_bits, err_ulp) the caller checked
+
+
+class FixReal(_Fields):
     """Fixed-point real: ``mantissa * 2**-frac_bits`` with a certified error.
 
     The true value represented lies within ``err_ulp * 2**-frac_bits`` of the
     stored value.  Mantissas may be negative; the fractional part of a value
     is defined as ``value - floor(value)``.
+
+    A tuple-backed immutable value: equality, hash and repr are by value, and
+    each operation builds exactly one result.  The tuple operators are
+    blocked, so ordering, ``*`` and concatenation raise TypeError.
     """
 
-    mantissa: int
-    frac_bits: int
-    err_ulp: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.frac_bits < 0:
+    def __new__(cls, mantissa: int, frac_bits: int, err_ulp: int = 0) -> "FixReal":
+        if frac_bits < 0:
             raise ValueError("frac_bits must be non-negative")
-        if self.err_ulp < 0:
+        if err_ulp < 0:
             raise ValueError("err_ulp must be non-negative")
+        return _build(cls, (mantissa, frac_bits, err_ulp))
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is FixReal and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+    __lt__ = __le__ = __gt__ = __ge__ = __mul__ = __rmul__ = __radd__ = _refuse
 
     # -- constructors -------------------------------------------------
 
@@ -93,10 +122,8 @@ class FixReal:
 
     @classmethod
     def from_fraction(cls, value: Fraction, frac_bits: int) -> "FixReal":
-        num = value.numerator << frac_bits
-        m = tdiv(num, value.denominator)
-        err = 0 if m * value.denominator == num else 1
-        return cls(m, frac_bits, err)
+        q, r = divmod(abs(value.numerator) << frac_bits, value.denominator)
+        return cls(-q if value.numerator < 0 else q, frac_bits, 1 if r else 0)
 
     @classmethod
     def zero(cls, frac_bits: int = 0) -> "FixReal":
@@ -111,59 +138,79 @@ class FixReal:
         return Fraction(self.err_ulp, 1 << self.frac_bits)
 
     # -- arithmetic ----------------------------------------------------
-
-    def _aligned(self, frac_bits: int) -> "FixReal":
-        shift = frac_bits - self.frac_bits
-        if shift < 0:
-            raise ValueError("alignment may only increase frac_bits")
-        return FixReal(self.mantissa << shift, frac_bits, self.err_ulp << shift)
+    #
+    # Every result is truncated toward zero, its error bound rounded up, and
+    # one ulp is added when the truncation dropped a nonzero remainder.
 
     def __neg__(self) -> "FixReal":
-        return FixReal(-self.mantissa, self.frac_bits, self.err_ulp)
+        m, f, e = self
+        return _build(FixReal, (-m, f, e))
 
     def __add__(self, other: "FixReal") -> "FixReal":
-        if not isinstance(other, FixReal):
+        if type(other) is not FixReal:
             return NotImplemented
-        f = max(self.frac_bits, other.frac_bits)
-        a = self._aligned(f)
-        b = other._aligned(f)
-        return FixReal(a.mantissa + b.mantissa, f, a.err_ulp + b.err_ulp)
+        m, f, e = self
+        m2, f2, e2 = other
+        if f < f2:
+            return _build(FixReal, ((m << (f2 - f)) + m2, f2, (e << (f2 - f)) + e2))
+        return _build(FixReal, (m + (m2 << (f - f2)), f, e + (e2 << (f - f2))))
 
     def __sub__(self, other: "FixReal") -> "FixReal":
-        return self + (-other)
+        if type(other) is not FixReal:
+            return NotImplemented
+        m, f, e = self
+        m2, f2, e2 = other
+        if f < f2:
+            return _build(FixReal, ((m << (f2 - f)) - m2, f2, (e << (f2 - f)) + e2))
+        return _build(FixReal, (m - (m2 << (f - f2)), f, e + (e2 << (f - f2))))
 
     def mul(self, other: "FixReal", out_bits: int) -> "FixReal":
         """Product truncated toward zero at ``out_bits`` fractional bits."""
         if out_bits < 1:
             raise ValueError("out_bits must be at least 1")
-        prod = self.mantissa * other.mantissa
-        err = (
-            abs(self.mantissa) * other.err_ulp
-            + abs(other.mantissa) * self.err_ulp
-            + self.err_ulp * other.err_ulp
-        )
-        return FixReal(prod, self.frac_bits + other.frac_bits, err).rescale(out_bits)
+        m, f, e = self
+        m2, f2, e2 = other
+        err = abs(m) * e2 + abs(m2) * e + e * e2
+        return _shifted(m * m2, f + f2 - out_bits, out_bits, err)
 
     def scale_rat(self, ratio: Fraction, out_bits: int) -> "FixReal":
-        """Multiply by an exact rational, truncating toward zero at ``out_bits``."""
-        num = self.mantissa * ratio.numerator << out_bits
-        den = ratio.denominator << self.frac_bits
-        m = tdiv(num, den)
-        exact = m * den == num
-        err_num = self.err_ulp * abs(ratio.numerator) << out_bits
-        err = ceil_div(err_num, den) + (0 if exact else 1)
-        return FixReal(m, out_bits, err)
+        """Multiply by an exact rational, truncating toward zero at ``out_bits``.
+
+        The product is shifted to ``out_bits`` first, keeping the bits the
+        shift drops for the exactness test, and then divided by the ratio's
+        denominator alone: floor(floor(x / 2^s) / q) = floor(x / (q * 2^s)).
+        """
+        if out_bits < 0:
+            raise ValueError("frac_bits must be non-negative")
+        m, f, e = self
+        num, den = ratio.numerator, ratio.denominator
+        prod = m * num
+        a, err = abs(prod), e * abs(num)
+        shift = f - out_bits
+        if shift > 0:
+            dropped = a & ((1 << shift) - 1)
+            a >>= shift
+            err = -((-err) >> shift)
+        else:
+            dropped = 0
+            a <<= -shift
+            err <<= -shift
+        if den != 1:
+            a, r = divmod(a, den)
+            dropped = dropped or r
+            err = -((-err) // den)
+        return _build(FixReal, (-a if prod < 0 else a, out_bits, err + (1 if dropped else 0)))
 
     def rescale(self, out_bits: int) -> "FixReal":
-        shift = self.frac_bits - out_bits
-        if shift <= 0:
-            return self._aligned(out_bits)
-        m = tdiv(self.mantissa, 1 << shift)
-        exact = (m << shift) == self.mantissa
-        return FixReal(m, out_bits, ceil_div(self.err_ulp, 1 << shift) + (0 if exact else 1))
+        """The value at ``out_bits`` fractional bits, by shifts only."""
+        if out_bits < 0:
+            raise ValueError("frac_bits must be non-negative")
+        m, f, e = self
+        return self if f == out_bits else _shifted(m, f - out_bits, out_bits, e)
 
     def __abs__(self) -> "FixReal":
-        return FixReal(abs(self.mantissa), self.frac_bits, self.err_ulp)
+        m, f, e = self
+        return _build(FixReal, (abs(m), f, e))
 
     # -- certified queries ----------------------------------------------
 
@@ -186,8 +233,8 @@ class FixReal:
     def decimal(self, digits: int) -> str | None:
         """The true value truncated toward zero at ``digits`` fractional digits,
         or None when the two ends of the error interval truncate differently."""
-        lo, hi = (truncated_decimal(self.mantissa + e, 1 << self.frac_bits, digits)
-                  for e in (-self.err_ulp, self.err_ulp))
+        m, f, e = self
+        lo, hi = (truncated_decimal(m + d, 1, digits, f) for d in (-e, e))
         return lo if lo == hi else None
 
     def hex_frac_window(self, bit_pos: int, hex_count: int) -> str:
@@ -201,6 +248,20 @@ class FixReal:
             raise ValueError("not enough fractional bits for requested window")
         window = (abs(self.mantissa) >> drop) & ((1 << (4 * hex_count)) - 1)
         return f"{window:0{hex_count}X}"
+
+
+def _shifted(m: int, shift: int, out_bits: int, err: int) -> FixReal:
+    """m * 2^-(out_bits + shift) with error err, as one FixReal at out_bits.
+
+    A right shift truncates |m| toward zero, tests exactness with a mask and
+    rounds the error up with -((-err) >> shift).
+    """
+    if shift <= 0:
+        return _build(FixReal, (m << -shift, out_bits, err << -shift))
+    a = abs(m)
+    q = a >> shift
+    inexact = 1 if a & ((1 << shift) - 1) else 0
+    return _build(FixReal, (-q if m < 0 else q, out_bits, -((-err) >> shift) + inexact))
 
 
 CACHE_KEYS = 256  # keys each precision_cache keeps; the least recently used goes first

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .pformula import (MAX_DEGREE, PFormula, PHeader, Scanner, canonicalize, check_base_exp,
+from .pformula import (MAX_DEGREE, PFormula, PHeader, Scanner, canonicalize, check_table,
                        scan_int, zero_formula)
 
 __all__ = [
@@ -121,7 +121,6 @@ class LiPoint:
             # yields sqrt(6) terms with no way to cancel
             if self.ang_den == 3 and self.scale_exp % 2:
                 raise PointError("pi/3 angles need an even scale exponent")
-        check_base_exp(self.scale_exp * period(self) // 2, PointError)
 
     def terms(self, length: int) -> list[tuple[int, TrigValue]]:
         """(shift, v) for k = 1..length with 2^(-q*k/2) * trig(k*x) = 2^(-shift) * v.
@@ -208,12 +207,16 @@ def part_formulas(pt: LiPoint, length: int) -> list[tuple[int, PFormula]]:
     length must be a multiple of period(pt).  pt.terms splits each term into
     its rational, sqrt(2) and sqrt(3) parts; the parts with root 1, 2 and 3
     each become one canonical P(s, 2^(q*length/2), length, A), and the point
-    is the sum of sqrt(root) * formula over the list.
+    is the sum of sqrt(root) * formula over the list.  A table longer than
+    MAX_TABLE_BITS, its coefficients taken as wide as its base, raises
+    PointError before any term is built.
     """
     length = int(length)
     per = period(pt)
     if length < 1 or length % per != 0:
         raise PointError(f"target length {length} is not a multiple of the period {per}")
+    base_exp = pt.scale_exp * length // 2
+    check_table(length, base_exp, base_exp, PointError)
     parts: tuple[list[Fraction], ...] = ([], [], [])
     for shift, v in pt.terms(length):
         for values, x in zip(parts, v):
@@ -223,8 +226,7 @@ def part_formulas(pt: LiPoint, length: int) -> list[tuple[int, PFormula]]:
         if any(values):
             den = lcm(*(v.denominator for v in values))
             coeffs = tuple(int(v * den) for v in values)
-            formula = PFormula(pt.degree, pt.scale_exp * length // 2, length, coeffs,
-                               Fraction(1, den))
+            formula = PFormula(pt.degree, base_exp, length, coeffs, Fraction(1, den))
             out.append((root, canonicalize(formula)))
     return out
 

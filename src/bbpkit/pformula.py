@@ -40,7 +40,8 @@ __all__ = [
     "MAX_DEGREE",
     "Scanner",
     "scan_int",
-    "check_base_exp",
+    "MAX_TABLE_BITS",
+    "check_table",
     "scan_rational",
     "scan_p",
     "parse_p",
@@ -121,6 +122,7 @@ def zero_formula(degree: int) -> PFormula:
 # ---------------------------------------------------------------------------
 
 MAX_POWER_BITS = 1 << 16  # a literal or a power a^e longer than this many bits is refused
+MAX_TABLE_BITS = 1 << 24  # most length * (base_exp + coefficient bits) a built table may have
 _MAX_LITERAL_DIGITS = int(MAX_POWER_BITS / log2(10))
 
 _TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^,()\[\]]")
@@ -206,11 +208,14 @@ def scan_int(sc: Scanner) -> int:
     return sign * value
 
 
-def check_base_exp(base_exp: int, error: type[ValueError] = FormulaError) -> None:
-    """Refuse a series base 2^base_exp longer than MAX_POWER_BITS bits, the limit
-    scan_int sets on a written 2^e, before a coefficient table is built on it."""
-    if base_exp > MAX_POWER_BITS:
-        raise error(f"base 2^{base_exp} is longer than {MAX_POWER_BITS} bits")
+def check_table(length: int, base_exp: int, coeff_bits: int,
+                error: type[ValueError] = FormulaError) -> None:
+    """Refuse a coefficient table of length entries on the base 2^base_exp
+    whose coefficients need up to coeff_bits bits, when length * (base_exp +
+    coeff_bits) exceeds MAX_TABLE_BITS; checked before the table is built."""
+    if length * (base_exp + coeff_bits) > MAX_TABLE_BITS:
+        raise error(f"coefficient table longer than {MAX_TABLE_BITS} bits "
+                    "(length * (base exponent + coefficient bits))")
 
 
 def scan_rational(sc: Scanner) -> Fraction:
@@ -302,12 +307,17 @@ def canonicalize(p: PFormula) -> PFormula:
     return PFormula(p.degree, p.base_exp, p.length, coeffs, p.pre * sign * g, p.root3)
 
 
+def _coeff_bits(p: PFormula) -> int:
+    return max(abs(a) for a in p.coeffs).bit_length()
+
+
 def stretch(p: PFormula, t: int) -> PFormula:
     """Dilate indices by t: length t*l, entries at multiples of t, prefactor * t^degree."""
     if t < 1:
         raise FormulaError("stretch factor must be positive")
     if t == 1 or p.is_zero():
         return p
+    check_table(t * p.length, p.base_exp, _coeff_bits(p))
     coeffs = [0] * (t * p.length)
     for j, a in enumerate(p.coeffs, start=1):
         coeffs[t * j - 1] = a
@@ -322,6 +332,7 @@ def rebase(p: PFormula, m: int) -> PFormula:
         raise FormulaError("rebase factor must be positive")
     if m == 1 or p.is_zero():
         return p
+    check_table(m * p.length, m * p.base_exp, _coeff_bits(p))
     coeffs = []
     for t in range(m):
         scale = 1 << (p.base_exp * (m - 1 - t))
@@ -334,8 +345,9 @@ def align(ps: Sequence[PFormula]) -> list[PFormula]:
     """Bring all formulas onto the minimal common header, preserving values.
 
     The common base exponent is the lcm of the inputs' base exponents (reached
-    by rebase), refused by check_base_exp when too long; the common length is
-    then the lcm of the rebased lengths (reached by stretch).
+    by rebase); the common length is then the lcm of the rebased lengths
+    (reached by stretch).  Both check their output against MAX_TABLE_BITS
+    before building it.
     """
     if not ps:
         return []
@@ -346,7 +358,6 @@ def align(ps: Sequence[PFormula]) -> list[PFormula]:
     if not nonzero:
         return list(ps)
     common_b = lcm(*(p.base_exp for p in nonzero))
-    check_base_exp(common_b)
     rebased = [p if p.is_zero() else rebase(p, common_b // p.base_exp) for p in ps]
     common_l = lcm(*(p.length for p in rebased if not p.is_zero()))
     return [p if p.is_zero() else stretch(p, common_l // p.length) for p in rebased]

@@ -288,13 +288,15 @@ def constant(name: str, prec_bits: int) -> FixReal:
 def const_value(mono: ConstMonomial, prec_bits: int) -> FixReal:
     """Certified value of a constant monomial."""
     work = prec_bits + 48
-    result = FixReal.from_int(1, work)
-    for _ in range(mono.pi_pow):
-        result = result.mul(constant("pi", work), work)
-    for _ in range(mono.log2_pow):
-        result = result.mul(constant("log2", work), work)
+    names = ["pi"] * mono.pi_pow + ["log2"] * mono.log2_pow
     if mono.atom != "one":
-        result = result.mul(constant(mono.atom, work), work)
+        names.append(mono.atom)
+    if not names:
+        return FixReal.from_int(1, work)
+    # the first factor at work bits is what multiplying 1 by it would give
+    result = constant(names[0], work).rescale(work)
+    for name in names[1:]:
+        result = result.mul(constant(name, work), work)
     return result
 
 

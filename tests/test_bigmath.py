@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from itertools import product
+from math import ceil, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from bbpkit.bigmath import (
     FixReal,
     ceil_div,
     powmod,
+    precision_cache,
     tdiv,
 )
 
@@ -197,3 +199,107 @@ def test_error_discipline_against_guarded_reevaluation(pair):
     finer = FixReal.from_fraction(exact, value.frac_bits + 64)
     diff = value - finer
     assert abs(diff.value_fraction()) <= diff.error_fraction()
+
+
+# -- FixReal bit for bit: each result triple is the documented rule ----------
+#
+# The exact result x of an operation on the stored values, with propagated
+# error bound E, lands at out_bits as (trunc(x * 2^out), out_bits,
+# ceil(E * 2^out) + 1 if x * 2^out is not an integer, else + 0).
+
+def _rule(exact: Fraction, err: Fraction, out_bits: int) -> tuple[int, int, int]:
+    scaled = exact * (1 << out_bits)
+    m = int(scaled)  # toward zero
+    return m, out_bits, ceil(err * (1 << out_bits)) + (0 if scaled == m else 1)
+
+
+@st.composite
+def _fix(draw):
+    bits = draw(st.integers(1, 2000))
+    m = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    frac_bits = draw(st.integers(0, 2500))
+    err = draw(st.one_of(st.just(0), st.integers(0, 1 << 70)))
+    return FixReal(-m if draw(st.booleans()) else m, frac_bits, err)
+
+
+_ratios = st.builds(
+    Fraction,
+    st.integers(-(1 << 100), 1 << 100).filter(bool),
+    st.one_of(st.just(1), st.integers(2, 1 << 100)),
+)
+
+
+def _out_bits(draw, frac_bits: int) -> int:
+    return max(1, frac_bits + draw(st.integers(-600, 600)))
+
+
+def _triple(x: FixReal) -> tuple[int, int, int]:
+    return x.mantissa, x.frac_bits, x.err_ulp
+
+
+def _certifies(x: FixReal, exact: Fraction) -> bool:
+    return abs(x.value_fraction() - exact) <= x.error_fraction()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_fixreal_ops_match_the_exact_rule(data):
+    a, b = data.draw(_fix()), data.draw(_fix())
+    xa, xb = a.value_fraction(), b.value_fraction()
+    ea, eb = a.error_fraction(), b.error_fraction()
+    f = max(a.frac_bits, b.frac_bits)
+    for got, exact, err, out in ((a + b, xa + xb, ea + eb, f), (a - b, xa - xb, ea + eb, f),
+                                 (-a, -xa, ea, a.frac_bits), (abs(a), abs(xa), ea, a.frac_bits)):
+        assert _triple(got) == _rule(exact, err, out)
+
+    out = _out_bits(data.draw, a.frac_bits + b.frac_bits)
+    got = a.mul(b, out)
+    assert _triple(got) == _rule(xa * xb, abs(xa) * eb + abs(xb) * ea + ea * eb, out)
+    # the product over every corner of the input intervals lies in the result's
+    assert all(_certifies(got, (xa + sa * ea) * (xb + sb * eb))
+               for sa, sb in product((-1, 1), repeat=2))
+
+    ratio = data.draw(_ratios)
+    out = _out_bits(data.draw, a.frac_bits)
+    got = a.scale_rat(ratio, out)
+    assert _triple(got) == _rule(xa * ratio, ea * abs(ratio), out)
+    assert _certifies(got, (xa - ea) * ratio) and _certifies(got, (xa + ea) * ratio)
+
+    out = _out_bits(data.draw, a.frac_bits)
+    got = a.rescale(out)
+    assert _triple(got) == _rule(xa, ea, out)
+    assert _certifies(got, xa - ea) and _certifies(got, xa + ea)
+
+    got = FixReal.from_fraction(ratio, out)
+    assert _triple(got) == _rule(ratio, Fraction(0), out)
+    assert _certifies(got, ratio)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ratios, st.integers(0, 64), st.integers(40, 1200), st.integers(8, 1200))
+def test_precision_cache_hit_matches_the_exact_rule(x, guard, high, low):
+    @precision_cache()
+    def value(key: Fraction, prec_bits: int) -> FixReal:
+        return FixReal.from_fraction(key, prec_bits + guard)
+
+    low = min(low, high)
+    stored = value(x, high)
+    hit = value(x, low)
+    assert value.cache_info().hits == 1
+    assert _triple(hit) == _rule(stored.value_fraction(), stored.error_fraction(), low + guard)
+    assert _certifies(hit, x)
+
+
+def test_fixreal_is_a_value_with_only_its_own_operators():
+    x, y = FixReal(5, 3, 1), FixReal(5, 3, 1)
+    assert x == y and hash(x) == hash(y) and x is not y
+    assert x != FixReal(5, 3, 0) and x != (5, 3, 1) and (5, 3, 1) != x
+    assert repr(x) == "FixReal(mantissa=5, frac_bits=3, err_ulp=1)"
+    for op in (lambda: x < y, lambda: x <= y, lambda: x > y, lambda: x >= y,
+               lambda: x * y, lambda: x * 2, lambda: 2 * x, lambda: x + (1,), lambda: (1,) + x,
+               lambda: x + 1, lambda: x - 1, lambda: (1,) < x):
+        with pytest.raises(TypeError):
+            op()
+    for bad in ((1, -1, 0), (1, 0, -1)):
+        with pytest.raises(ValueError):
+            FixReal(*bad)

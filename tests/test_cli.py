@@ -189,6 +189,10 @@ def test_flags_a_subcommand_ignores_are_refused(argv):
     ("eval", "1 * ImLi(3, 999999, 1/4)", "--digits", "20"),
     ("gen", "--point", "ReLi(2, 99999998, 0)"),
     ("combine", "--terms", "1 * P(1, 2^3, 1, [1]) + 1 * P(1, 2^99999, 1, [1])"),
+    # tables past MAX_TABLE_BITS on a base inside MAX_POWER_BITS
+    ("gen", "--point", "ReLi(2, 2, 0)", "--len", "65536"),
+    ("gen", "--point", "ReLi(2, 2, 0)", "--len", "99999999"),
+    ("combine", "--terms", "1 * P(1, 2^3, 1, [1]) + 1 * P(1, 2^65535, 1, [1])"),
 ])
 def test_huge_power_exit_code(capsys, argv):
     t0 = time.perf_counter()
@@ -228,7 +232,7 @@ def test_huge_degree_exit_code(capsys, argv):
 
 
 def test_largest_point_base_is_accepted(capsys):
-    # ImLi(3, 16383, 1/4) folds over 8 terms onto the base 2^65532, just inside MAX_POWER_BITS
+    # ImLi(3, 16383, 1/4) folds over 8 terms onto the base 2^65532: about 10^6 table bits
     code, out, _ = run(capsys, "eval", "1 * ImLi(3, 16383, 1/4)", "--digits", "20")
     assert code == 0 and out.strip() == "0.00000000000000000000"
 

@@ -9,10 +9,11 @@ from bbpkit.generator import (
     generate,
     li_series_header,
     parse_li_point,
+    part_formulas,
     period,
     serialize_li_point,
 )
-from bbpkit.pformula import ParseError, PHeader, canonicalize, evaluate, rebase
+from bbpkit.pformula import MAX_TABLE_BITS, ParseError, PHeader, canonicalize, evaluate, rebase
 from mp_oracle import context, polylog_part, within
 
 
@@ -137,6 +138,13 @@ def test_generate_consistent_with_rebase_and_stretch():
 def test_generate_rejects_non_multiple_length():
     with pytest.raises(PointError):
         generate(LiPoint(1, 1, 3, 4, "re"), 12)
+
+
+def test_part_formulas_refuses_a_table_past_the_budget():
+    pt = LiPoint(2, 2, 0, 1, "re")  # period 1: length L folds onto the base 2^L
+    assert part_formulas(pt, 2896)  # 2896 * (2896 + 2896) is just inside 2^24
+    with pytest.raises(PointError, match=f"longer than {MAX_TABLE_BITS} bits"):
+        part_formulas(pt, 2897)
 
 
 def test_generate_rejects_surviving_sqrt2():

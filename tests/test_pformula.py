@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bbpkit.pformula import (
     MAX_POWER_BITS,
+    MAX_TABLE_BITS,
     POW_MIN_EXP,
     FormulaError,
     ParseError,
@@ -140,6 +141,15 @@ def test_stretch_layout():
 def test_rebase_identity():
     p = parse_p("P(2, 2^4, 2, [3, -1])")
     assert rebase(p, 1) == p
+
+
+def test_table_budget_bounds_rebase_and_stretch():
+    p = parse_p("P(1, 2^1, 1, [1])")
+    # rebase by m builds m coefficients on the base 2^m from one 1-bit coefficient
+    assert rebase(p, 4095).length == 4095  # 4095 * (4095 + 1) is just inside 2^24
+    for build in (lambda: rebase(p, 4096), lambda: stretch(p, MAX_TABLE_BITS // 2 + 1)):
+        with pytest.raises(FormulaError, match=f"longer than {MAX_TABLE_BITS} bits"):
+            build()
 
 
 def test_rebase_layout():
