@@ -20,14 +20,15 @@ import threading
 from collections import OrderedDict
 from fractions import Fraction
 from functools import wraps
-from math import isqrt
-from typing import Callable, Hashable, NamedTuple
+from math import gcd, isqrt
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 __all__ = [
     "FixReal",
     "powmod",
     "tdiv",
     "ceil_div",
+    "primitive",
     "truncated_decimal",
     "precision_cache",
     "CACHE_KEYS",
@@ -43,6 +44,15 @@ def tdiv(a: int, b: int) -> int:
 def ceil_div(a: int, b: int) -> int:
     """Ceiling of a/b for positive b."""
     return -((-a) // b)
+
+
+def primitive(values: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(g, w) with values == g * w, gcd(w) == 1 and w's first nonzero entry
+    positive; g is the gcd of values (one must be nonzero), signed like it."""
+    g = gcd(*values)
+    if next(a for a in values if a) < 0:
+        g = -g
+    return g, tuple(a // g for a in values)
 
 
 def truncated_decimal(num: int, den: int, digits: int, frac_bits: int = 0) -> str:

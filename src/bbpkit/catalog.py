@@ -31,7 +31,7 @@ from .bigmath import CACHE_KEYS, FixReal
 from .generator import LiPoint, generate, period, scan_li_point
 from .pformula import (ParseError, PFormula, PHeader, Scanner, combine, evaluate, rebase,
                        scan_p, scan_rational, stretch)
-from .reference import ConstMonomial, const_value, li_point_value
+from .reference import ATOMS, ConstMonomial, const_value, li_point_value
 
 __all__ = [
     "Term",
@@ -56,8 +56,8 @@ KINDS = ("generator", "bbp_ready", "zero_relation", "printed_formula")
 
 MAX_MONOMIAL_POWER = 64  # largest pi^a * log2^b degree a + b in one term; the catalog uses 5
 
-_SPECIAL_ATOMS = {"zeta3": "zeta3", "zeta5": "zeta5", "G": "catalan", "Cl2pi3": "cl2_pi3",
-                  "Cl4pi2": "cl4_pi2"}
+# expression spelling -> atom name; "1" is read as a rational
+_SPECIAL_ATOMS = {spelling: atom for atom, (spelling, _) in ATOMS.items() if atom != "one"}
 
 
 class CatalogError(ValueError):
@@ -215,7 +215,6 @@ class IdentityRecord:
 @dataclass(frozen=True)
 class Catalog:
     records: tuple[IdentityRecord, ...]
-    version: str = "1"
 
     def __post_init__(self) -> None:
         seen = set()
@@ -240,69 +239,59 @@ class Catalog:
 _KEY_RE = re.compile(r"^(\w+)\s*=\s*\"(.*)\"\s*$")
 
 
-def _parse_catalog_text(text: str, origin: str) -> Catalog:
-    version = "1"
-    records: list[IdentityRecord] = []
-    block: dict[str, str] | None = None
-    block_line = 0
-
-    def close_block() -> None:
-        nonlocal block
-        if block is None:
-            return
-        missing = [k for k in ("id", "anchor", "kind", "lhs", "rhs") if k not in block]
-        if missing:
-            raise CatalogError(
-                f"{origin}:{block_line}: record missing fields {missing} "
-                f"(id={block.get('id', '?')!r})"
-            )
-        try:
-            rec = IdentityRecord(
-                id=block["id"],
-                anchor=block["anchor"],
-                kind=block["kind"],
-                lhs=parse_expr(block["lhs"]),
-                rhs=parse_expr(block["rhs"]),
-                notes=block.get("notes", ""),
-                combo=block.get("combo", ""),
-            )
-        except ValueError as exc:
-            raise CatalogError(
-                f"{origin}:{block_line}: bad record {block.get('id', '?')!r}: {exc}"
-            ) from exc
-        records.append(rec)
-        block = None
-
+def _blocks(text: str, origin: str) -> list[tuple[int, dict[str, str]]]:
+    """(first line, fields) of each ``[identity]`` block, in order; a
+    ``version = "..."`` line before the first block is accepted and ignored."""
+    blocks: list[tuple[int, dict[str, str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line == "[identity]":
-            close_block()
-            block = {}
-            block_line = lineno
+            blocks.append((lineno, {}))
             continue
         m = _KEY_RE.match(line)
         if not m:
             raise CatalogError(f"{origin}:{lineno}: cannot parse line {line!r}")
-        key, value = m.group(1), m.group(2)
-        if block is None:
+        key, value = m.groups()
+        if not blocks:
             if key == "version":
-                version = value
                 continue
             raise CatalogError(f"{origin}:{lineno}: field outside a record block")
-        if key in block:
+        fields = blocks[-1][1]
+        if key in fields:
             raise CatalogError(f"{origin}:{lineno}: duplicate field {key!r}")
-        block[key] = value
-    close_block()
+        fields[key] = value
+    return blocks
+
+
+def _record(block: dict[str, str], where: str) -> IdentityRecord:
+    missing = [k for k in ("id", "anchor", "kind", "lhs", "rhs") if k not in block]
+    if missing:
+        raise CatalogError(f"{where}: record missing fields {missing} "
+                           f"(id={block.get('id', '?')!r})")
+    try:
+        return IdentityRecord(block["id"], block["anchor"], block["kind"],
+                              parse_expr(block["lhs"]), parse_expr(block["rhs"]),
+                              block.get("notes", ""), block.get("combo", ""))
+    except ValueError as exc:
+        raise CatalogError(f"{where}: bad record {block.get('id', '?')!r}: {exc}") from exc
+
+
+def _parse_catalog_text(text: str, origin: str) -> Catalog:
+    records = tuple(_record(fields, f"{origin}:{line}") for line, fields in _blocks(text, origin))
     if not records:
         raise CatalogError(f"{origin}: catalog contains no records")
-    return Catalog(tuple(records), version)
+    return Catalog(records)
 
 
 def load_catalog(path: str) -> Catalog:
-    with open(path, encoding="utf-8") as fh:
-        return _parse_catalog_text(fh.read(), path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise CatalogError(f"cannot read catalog {path!r}: {exc.strerror or exc}") from None
+    return _parse_catalog_text(text, path)
 
 
 @cache
@@ -338,40 +327,29 @@ DERIVE_CHECK_DIGITS = 60  # a derived formula must match its lhs to this many di
 
 @lru_cache(maxsize=CACHE_KEYS)
 def derive_bbp(record: IdentityRecord, target_header: PHeader | None = None) -> PFormula:
-    """Run the generate/align/combine pipeline on the record's right side.
+    """Run the generate/combine pipeline on the record's right side.
 
-    Every rhs term must be a polylog point or an inline formula.  With no
-    target header the terms combine on their minimal common header; a target
-    header must be reachable from the minimal generated headers by rebase and
-    stretch.  The output value is confirmed against the lhs before returning.
-    Results are kept per (record, header), the record by value, so a record
-    that shares an id but not its sides is derived and checked afresh; a
-    refusal is not kept.
+    Every rhs term must be a polylog point or an inline formula.  They combine
+    on their minimal common header, from which one rebase and one stretch,
+    keeping the value and the canonical form, reach a target header.  The
+    output value is confirmed against the lhs.  Results are kept per (record,
+    header), the record by value, so a record that shares an id but not its
+    sides is derived and checked afresh; a refusal is not kept.
     """
-    target = None if target_header is None else PHeader(*target_header)
     parts: list[tuple[Fraction, PFormula]] = []
     for coeff, term in record.rhs.terms:
         if isinstance(term, LiPoint):
-            p = generate(term, period(term))
-        elif isinstance(term, PFormula):
-            p = term
-        else:
-            raise CatalogError(
-                f"record {record.id!r} rhs contains a non-derivable term {term}"
-            )
-        if target is not None:
-            if p.degree != target.degree:
-                raise CatalogError(f"degree of {term} does not match target {target}")
-            if target.base_exp % p.base_exp:
-                raise CatalogError(f"target base 2^{target.base_exp} unreachable from {term}")
-            p = rebase(p, target.base_exp // p.base_exp)
-            if target.length % p.length:
-                raise CatalogError(f"target length {target.length} unreachable from {term}")
-            p = stretch(p, target.length // p.length)
-        parts.append((coeff, p))
+            term = generate(term, period(term))
+        elif not isinstance(term, PFormula):
+            raise CatalogError(f"record {record.id!r} rhs contains a non-derivable term {term}")
+        parts.append((coeff, term))
     out = combine(parts)
-    if target is not None and not out.is_zero() and out.header != target:
-        raise CatalogError(f"combination landed on {out.header}, wanted {target}")
+    if target_header is not None:
+        target = PHeader(*target_header)
+        m, rest = divmod(target.base_exp, out.base_exp)
+        if target.degree != out.degree or m < 1 or rest or target.length % (m * out.length):
+            raise CatalogError(f"target {target} unreachable from {out.header}")
+        out = stretch(rebase(out, m), target.length // (m * out.length))
 
     bits = bits_for_digits(DERIVE_CHECK_DIGITS)
     diff = evaluate(out, bits) - evaluate_expr(record.lhs, bits)

@@ -65,13 +65,13 @@ def _add_shared(sub: argparse.ArgumentParser, *flags: str) -> None:
         group.add_argument("--digits", type=int, default=None,
                            help=f"decimal digits of precision (16 to {MAX_DIGITS})")
         group.add_argument("--bits", type=int, default=None,
-                           help=f"binary precision (at most {MAX_BITS})")
+                           help=f"binary precision (1 to {MAX_BITS})")
 
 
 def _resolve_bits(args: argparse.Namespace, default_digits: int = 200) -> tuple[int, int]:
     if args.bits is not None:
-        if args.bits > MAX_BITS:
-            raise ValueError(f"--bits is limited to {MAX_BITS}")
+        if not 1 <= args.bits <= MAX_BITS:
+            raise ValueError(f"--bits must be 1 to {MAX_BITS}")
         digits = max(args.bits * 3 // 10, 16)
         return max(args.bits, bits_for_digits(digits)), digits
     digits = args.digits if args.digits is not None else default_digits

@@ -25,11 +25,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from math import gcd, lcm, log2
+from math import lcm, log2
 from typing import Iterator, NamedTuple, Sequence
 
-from .bigmath import FixReal, fix_sqrt_int, precision_cache
+from .bigmath import FixReal, fix_sqrt_int, precision_cache, primitive
 
 __all__ = [
     "PFormula",
@@ -298,13 +297,8 @@ def canonicalize(p: PFormula) -> PFormula:
     """Equal-value form with coefficient gcd 1 and first nonzero coefficient positive."""
     if p.is_zero():
         return zero_formula(p.degree)
-    g = reduce(gcd, (abs(a) for a in p.coeffs if a), 0)
-    first = next(a for a in p.coeffs if a)
-    sign = -1 if first < 0 else 1
-    if g == 1 and sign == 1:
-        return p
-    coeffs = tuple(a // (sign * g) for a in p.coeffs)
-    return PFormula(p.degree, p.base_exp, p.length, coeffs, p.pre * sign * g, p.root3)
+    g, coeffs = primitive(p.coeffs)
+    return PFormula(p.degree, p.base_exp, p.length, coeffs, p.pre * g, p.root3)
 
 
 def _coeff_bits(p: PFormula) -> int:
@@ -409,8 +403,8 @@ def _check_precision(p: PFormula, prec_bits: int) -> None:
         raise FormulaError("prec_bits must be at least 8")
 
 
-def _groups(p: PFormula, num: int, start: int, stop: int) -> Iterator[tuple[int, int, int]]:
-    """Blocks start..stop-1 of ``num * P(s, 2^B, l, A)``, summed exactly in groups.
+def _groups(p: PFormula, start: int, stop: int) -> Iterator[tuple[int, int, int]]:
+    """Blocks start..stop-1 of ``p.pre.numerator * P(s, 2^B, l, A)``, summed exactly in groups.
 
     A group folds consecutive nonzero terms into one fraction n/m, m the
     product of their (k*l + j)^s; the first opens at block start, and each
@@ -420,6 +414,7 @@ def _groups(p: PFormula, num: int, start: int, stop: int) -> Iterator[tuple[int,
     multiply to 1 is not.
     """
     s, b, l = p.degree, p.base_exp, p.length
+    num = p.pre.numerator
     terms = [(j, num * a) for j, a in enumerate(p.coeffs, start=1) if a]
     n, m = 0, 1
     for k in range(start, stop):
@@ -460,7 +455,7 @@ def _scaled_sum(p: PFormula, pos: int, work: int, start: int, stop: int) -> tupl
     odd = den >> twos
     b = p.base_exp
     acc = groups = 0
-    for k, n, m in _groups(p, p.pre.numerator, start, stop):
+    for k, n, m in _groups(p, start, stop):
         e = pos - twos - b * k
         m *= odd
         if e >= POW_MIN_EXP:

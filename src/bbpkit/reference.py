@@ -43,14 +43,14 @@ __all__ = [
 
 _GUARD = 64
 
-# atom name -> degree as a polylogarithm constant
+# atom name -> (its spelling in expressions, its degree as a polylogarithm constant)
 ATOMS = {
-    "one": 0,
-    "zeta3": 3,
-    "zeta5": 5,
-    "catalan": 2,
-    "cl2_pi3": 2,
-    "cl4_pi2": 4,
+    "one": ("1", 0),
+    "zeta3": ("zeta3", 3),
+    "zeta5": ("zeta5", 5),
+    "catalan": ("G", 2),
+    "cl2_pi3": ("Cl2pi3", 2),
+    "cl4_pi2": ("Cl4pi2", 4),
 }
 
 
@@ -70,18 +70,16 @@ class ConstMonomial:
 
     @property
     def total_degree(self) -> int:
-        return self.pi_pow + self.log2_pow + ATOMS[self.atom]
+        return self.pi_pow + self.log2_pow + ATOMS[self.atom][1]
 
     def __str__(self) -> str:
-        names = {"one": "1", "zeta3": "zeta3", "zeta5": "zeta5", "catalan": "G",
-                 "cl2_pi3": "Cl2pi3", "cl4_pi2": "Cl4pi2"}
         parts = []
         if self.pi_pow:
             parts.append("pi" if self.pi_pow == 1 else f"pi^{self.pi_pow}")
         if self.log2_pow:
             parts.append("log2" if self.log2_pow == 1 else f"log2^{self.log2_pow}")
         if self.atom != "one" or not parts:
-            parts.append(names[self.atom])
+            parts.append(ATOMS[self.atom][0])
         return " * ".join(parts)
 
 

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import gcd, isqrt
+from math import isqrt
 
-from .bigmath import FixReal
+from .bigmath import FixReal, primitive
 
 __all__ = ["RelationResult", "PslqReport", "PrecisionExhausted", "pslq"]
 
@@ -56,13 +55,6 @@ def _nint_div(a: int, b: int) -> int:
     if b < 0:
         a, b = -a, -b
     return (2 * a + b) // (2 * b)
-
-
-def _normalize_relation(coeffs: list[int]) -> tuple[int, ...]:
-    g = reduce(gcd, (abs(c) for c in coeffs if c), 0)
-    first = next(c for c in coeffs if c)
-    sign = -1 if first < 0 else 1
-    return tuple(c // (sign * g) for c in coeffs)
 
 
 def _confirm(coeffs: tuple[int, ...], values: list[FixReal], prec_bits: int) -> FixReal | None:
@@ -173,7 +165,7 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
         if min_abs < detect:
             idx = min(range(n), key=lambda i: abs(y[i]))
             if any(B[idx]):
-                coeffs = _normalize_relation(B[idx])
+                coeffs = primitive(B[idx])[1]
                 residual = _confirm(coeffs, values, prec_bits)
                 if residual is not None:
                     bound = _diag_bound(H, n, f)

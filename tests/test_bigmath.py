@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import ceil, isqrt
+from math import ceil, gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +11,7 @@ from bbpkit.bigmath import (
     ceil_div,
     powmod,
     precision_cache,
+    primitive,
     tdiv,
 )
 
@@ -21,6 +22,16 @@ def test_tdiv_truncates_toward_zero():
     assert tdiv(7, -2) == -3
     assert tdiv(-7, -2) == 3
     assert tdiv(0, 5) == 0
+
+
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8).filter(any),
+       st.integers(-10**12, 10**12).filter(bool))
+def test_primitive_splits_off_the_signed_gcd(values, factor):
+    values = [factor * a for a in values]
+    g, w = primitive(values)
+    assert [g * a for a in w] == values
+    assert gcd(*w) == 1
+    assert next(a for a in w if a) > 0
 
 
 def test_ceil_div():

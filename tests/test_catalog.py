@@ -12,8 +12,8 @@ from bbpkit.catalog import (
     serialize_expr,
     verify,
 )
-from bbpkit.generator import LiPoint
-from bbpkit.pformula import PFormula, PHeader, canonicalize
+from bbpkit.generator import LiPoint, generate, period
+from bbpkit.pformula import PFormula, PHeader, canonicalize, combine, rebase, stretch
 from bbpkit.reference import ConstMonomial
 
 
@@ -149,6 +149,39 @@ def test_load_reports_position_on_parse_error(tmp_path):
     assert ":1" in str(exc.value)
 
 
+def test_load_refuses_an_unreadable_path(tmp_path):
+    for path in (tmp_path / "missing.txt", tmp_path):
+        with pytest.raises(CatalogError) as exc:
+            load_catalog(str(path))
+        assert str(exc.value).startswith(f"cannot read catalog {str(path)!r}: ")
+        assert "\n" not in str(exc.value)
+
+
+RECORD = '[identity]\nid = "x"\nanchor = "a"\nkind = "generator"\nlhs = "0"\nrhs = "0"\n'
+
+
+@pytest.mark.parametrize("text, message", [
+    ('version = "7"\n# comment\n\n' + RECORD, None),
+    ('id = "x"\n' + RECORD, "f.txt:1: field outside a record block"),
+    (RECORD + "lhs\n", "f.txt:7: cannot parse line 'lhs'"),
+    (RECORD + 'lhs = "1"\n', "f.txt:7: duplicate field 'lhs'"),
+    (RECORD + '[identity]\nid = "y"\n', "f.txt:7: record missing fields "
+                                          "['anchor', 'kind', 'lhs', 'rhs'] (id='y')"),
+    (RECORD.replace('"0"\n', '"1/0"\n', 1),
+     "f.txt:1: bad record 'x': zero denominator (at position 1)"),
+    ("# only a comment\n", "f.txt: catalog contains no records"),
+])
+def test_load_reports_each_error_with_its_line(tmp_path, text, message):
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    if message is None:
+        assert [r.id for r in load_catalog(str(path))] == ["x"]
+        return
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(str(path))
+    assert str(exc.value) == f"{tmp_path}/{message}"
+
+
 def test_record_validation():
     zero = parse_expr("0")
     with pytest.raises(CatalogError):
@@ -205,3 +238,45 @@ def test_derive_rejects_unreachable_header():
     rec = default_catalog().get("deg2-kummer-half-i")
     with pytest.raises(CatalogError):
         derive_bbp(rec, PHeader(2, 10, 24))
+
+
+def _derive_term_by_term(record: IdentityRecord, target: PHeader) -> PFormula:
+    """The reference: align each rhs term onto the target, then combine."""
+    parts = []
+    for coeff, term in record.rhs.terms:
+        if isinstance(term, LiPoint):
+            term = generate(term, period(term))
+        elif not isinstance(term, PFormula):
+            raise CatalogError("non-derivable term")
+        if term.degree != target.degree or target.base_exp % term.base_exp:
+            raise CatalogError("unreachable base")
+        term = rebase(term, target.base_exp // term.base_exp)
+        if target.length % term.length:
+            raise CatalogError("unreachable length")
+        parts.append((coeff, stretch(term, target.length // term.length)))
+    out = combine(parts)
+    if not out.is_zero() and out.header != target:
+        raise CatalogError("combination landed elsewhere")
+    return out
+
+
+@pytest.mark.parametrize("record", list(default_catalog()), ids=lambda r: r.id)
+def test_derive_transforms_the_combined_formula_as_each_term_would(record):
+    try:
+        d, b, l = derive_bbp(record).header
+    except CatalogError:
+        d, b, l = 2, 60, 120  # a non-derivable rhs: every target is refused
+    reachable = [PHeader(d, b, l), PHeader(2, 60, 120), PHeader(d, 2 * b, 2 * l),
+                 PHeader(d, 3 * b, 6 * l)]
+    unreachable = [PHeader(d, 2 * b, l), PHeader(d + 1, b, l)]
+    if b > 1:  # a base that is not a multiple, with room for any length
+        unreachable.append(PHeader(d, 2 * b + 1, 2 * (2 * b + 1) * l))
+    for target in reachable + unreachable:
+        try:
+            want = _derive_term_by_term(record, target)
+        except CatalogError:
+            with pytest.raises(CatalogError):
+                derive_bbp(record, target)
+        else:
+            assert target in reachable
+            assert derive_bbp(record, target) == want

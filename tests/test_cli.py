@@ -248,10 +248,20 @@ def test_precision_limits_exit_code(capsys):
     assert MAX_DIGITS >= 10_000  # verify-all --digits 10000 stays allowed
     for flag, value, limit in (("--digits", 3_000_000, MAX_DIGITS),
                                ("--digits", MAX_DIGITS + 1, MAX_DIGITS),
-                               ("--bits", MAX_BITS + 1, MAX_BITS)):
+                               ("--bits", MAX_BITS + 1, MAX_BITS),
+                               ("--bits", 0, MAX_BITS),
+                               ("--bits", -1000, MAX_BITS)):
         code, out, err = run(capsys, "eval", "1 * pi", flag, str(value))
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and str(limit) in err
+
+
+def test_unreadable_catalog_exit_code(tmp_path, capsys):
+    for argv in (("verify-all", "--catalog", str(tmp_path / "missing.txt")),
+                 ("catalog", "list", "--catalog", str(tmp_path))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and f"cannot read catalog {argv[-1]!r}" in err
 
 
 def test_unknown_formula_id_names_the_id(capsys):
