@@ -229,8 +229,10 @@ class FixReal(_Fields):
         return Fraction(abs(self.mantissa) + self.err_ulp, 1 << self.frac_bits)
 
     def certified_below(self, threshold: Fraction) -> bool:
-        """True when |true value| < threshold is guaranteed."""
-        return self.magnitude_bound() < threshold
+        """True when |true value| < threshold is guaranteed: the magnitude
+        bound against the threshold, compared in integers."""
+        m, f, e = self
+        return (abs(m) + e) * threshold.denominator < threshold.numerator << f
 
     def certified_sign(self) -> int:
         """Sign of the true value, or 0 when the error interval straddles zero."""

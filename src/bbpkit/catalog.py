@@ -21,13 +21,13 @@ Integers accept the a^e shorthand.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
 from importlib import resources
 from typing import Iterable, NamedTuple, Union
 
-from .bigmath import CACHE_KEYS, FixReal
+from .bigmath import CACHE_KEYS, FixReal, precision_cache
 from .generator import LiPoint, generate, period, scan_li_point
 from .pformula import (ParseError, PFormula, PHeader, Scanner, combine, evaluate, rebase,
                        scan_p, scan_rational, stretch)
@@ -40,6 +40,7 @@ __all__ = [
     "Catalog",
     "CatalogError",
     "MAX_MONOMIAL_POWER",
+    "MAX_CATALOG_BYTES",
     "VerifyReport",
     "parse_expr",
     "serialize_expr",
@@ -69,10 +70,17 @@ class LinearExpr:
     """Non-empty rational-weighted sum of formula / point / monomial terms."""
 
     terms: tuple[tuple[Fraction, Term], ...]
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.terms:
             raise CatalogError("linear expression must have at least one term")
+
+    def __hash__(self) -> int:
+        """The hash of the field tuple, computed on the first call and kept."""
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.terms,)))
+        return self._hash
 
     @classmethod
     def make(cls, terms: Iterable[tuple[Fraction, Term]]) -> "LinearExpr":
@@ -174,7 +182,9 @@ def term_value(term: Term, prec_bits: int) -> FixReal:
     raise CatalogError(f"unknown term type {type(term).__name__}")
 
 
+@precision_cache()
 def evaluate_expr(expr: LinearExpr, prec_bits: int) -> FixReal:
+    """Certified value of the expression at prec_bits + 32 fraction bits."""
     work = prec_bits + 32
     total = FixReal.zero(work)
     for coeff, term in expr.terms:
@@ -285,13 +295,19 @@ def _parse_catalog_text(text: str, origin: str) -> Catalog:
     return Catalog(records)
 
 
+MAX_CATALOG_BYTES = 1 << 20  # a longer catalog file is refused; the packaged one is 25 KB
+
+
 def load_catalog(path: str) -> Catalog:
+    """Parse the catalog file at path, reading at most MAX_CATALOG_BYTES + 1 bytes."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_CATALOG_BYTES + 1)
     except OSError as exc:
         raise CatalogError(f"cannot read catalog {path!r}: {exc.strerror or exc}") from None
-    return _parse_catalog_text(text, path)
+    if len(data) > MAX_CATALOG_BYTES:
+        raise CatalogError(f"catalog {path!r} is longer than {MAX_CATALOG_BYTES} bytes")
+    return _parse_catalog_text(data.decode("utf-8"), path)
 
 
 @cache

@@ -88,6 +88,7 @@ class PFormula:
     coeffs: tuple[int, ...]
     pre: Fraction = field(default=Fraction(1))
     root3: bool = False
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.degree <= MAX_DEGREE:
@@ -100,6 +101,13 @@ class PFormula:
             raise FormulaError(
                 f"coefficient count {len(self.coeffs)} does not match length {self.length}"
             )
+
+    def __hash__(self) -> int:
+        """The hash of the field tuple, computed on the first call and kept."""
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(
+                (self.degree, self.base_exp, self.length, self.coeffs, self.pre, self.root3)))
+        return self._hash
 
     @property
     def header(self) -> PHeader:

@@ -10,11 +10,11 @@ the certified sum of its ``generator.part_formulas``, so it is checked
 against the base constants, not against itself.
 
 All routines return certified FixReal values; precision is always an
-explicit bit count.  ``constant`` and ``li_point_value`` keep each value at
-the highest precision computed and serve lower precisions from it
-(``bigmath.precision_cache``).  The cache table sits behind a lock, and the
-Bernoulli table grows by tangent-number columns under its own lock, so
-concurrent callers are safe.
+explicit bit count.  ``constant``, ``const_value`` and ``li_point_value``
+keep each value at the highest precision computed and serve lower
+precisions from it (``bigmath.precision_cache``).  The cache table sits
+behind a lock, and the Bernoulli table grows by tangent-number columns under
+its own lock, so concurrent callers are safe.
 """
 from __future__ import annotations
 
@@ -283,8 +283,9 @@ def constant(name: str, prec_bits: int) -> FixReal:
     return _BUILDERS[name](prec_bits)
 
 
+@precision_cache()
 def const_value(mono: ConstMonomial, prec_bits: int) -> FixReal:
-    """Certified value of a constant monomial."""
+    """Certified value of a constant monomial at prec_bits + 48 fraction bits."""
     work = prec_bits + 48
     names = ["pi"] * mono.pi_pow + ["log2"] * mono.log2_pow
     if mono.atom != "one":

@@ -4,7 +4,7 @@ from itertools import product
 from math import ceil, gcd, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bbpkit.bigmath import (
     FixReal,
@@ -299,6 +299,18 @@ def test_precision_cache_hit_matches_the_exact_rule(x, guard, high, low):
     assert value.cache_info().hits == 1
     assert _triple(hit) == _rule(stored.value_fraction(), stored.error_fraction(), low + guard)
     assert _certifies(hit, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fix(), st.integers(-(1 << 80), 1 << 80), st.integers(1, 1 << 80), st.booleans())
+@example(FixReal(3, 2, 1), 0, 1, False)  # zero threshold
+@example(FixReal(0, 0, 0), 0, 1, False)  # zero bound against zero threshold
+@example(FixReal(-3, 2, 1), 2, 1, True)  # threshold equal to the bound
+def test_certified_below_agrees_with_the_fraction_rule(x, num, den, near):
+    # near: a threshold within 2/den of the magnitude bound, either side or equal
+    bound = Fraction(abs(x.mantissa) + x.err_ulp, 1 << x.frac_bits)
+    threshold = bound + Fraction(num % 5 - 2, den) if near else Fraction(num, den)
+    assert x.certified_below(threshold) == (bound < threshold)
 
 
 def test_fixreal_is_a_value_with_only_its_own_operators():

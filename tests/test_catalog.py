@@ -1,10 +1,13 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from bbpkit.catalog import (
+    MAX_CATALOG_BYTES,
     CatalogError,
     IdentityRecord,
+    LinearExpr,
     default_catalog,
     derive_bbp,
     load_catalog,
@@ -110,6 +113,21 @@ def test_rejects_garbage():
         parse_expr("2 * pi * ImLi(2, 1, 3/4)")
 
 
+def test_equal_expressions_hash_equal_however_built():
+    pi_term = (Fraction(2), ConstMonomial(1))
+    p_term = (Fraction(1), PFormula(1, 1, 1, (1,), Fraction(3)))
+    parsed = parse_expr("2 * pi + 3 * P(1, 2^1, 1, [1])")
+    assert parsed._hash is None  # nothing is hashed at construction
+    hash(parsed)
+    built = LinearExpr((pi_term, p_term))
+    replaced = replace(parse_expr("1 * log2"), terms=(pi_term, p_term))
+    assert replaced._hash is None
+    assert parsed == built == replaced
+    assert hash(parsed) == hash(built) == hash(replaced) == hash(((pi_term, p_term),))
+    hash(built)
+    assert built == LinearExpr((pi_term, p_term)) and "_hash" not in repr(built)
+
+
 # -- catalog loading -----------------------------------------------------------
 
 def test_default_catalog_inventory():
@@ -180,6 +198,15 @@ def test_load_reports_each_error_with_its_line(tmp_path, text, message):
     with pytest.raises(CatalogError) as exc:
         load_catalog(str(path))
     assert str(exc.value) == f"{tmp_path}/{message}"
+
+
+def test_load_refuses_a_file_past_the_size_limit(tmp_path):
+    path = tmp_path / "long.txt"
+    path.write_bytes(b"#" * MAX_CATALOG_BYTES + b"\n")
+    with pytest.raises(CatalogError, match=f"longer than {MAX_CATALOG_BYTES} bytes"):
+        load_catalog(str(path))
+    path.write_bytes(b"#" * (MAX_CATALOG_BYTES - len(RECORD) - 1) + b"\n" + RECORD.encode())
+    assert [r.id for r in load_catalog(str(path))] == ["x"]  # at the limit
 
 
 def test_record_validation():

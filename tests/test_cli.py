@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -6,7 +10,7 @@ import pytest
 
 import bbpkit.catalog
 import bbpkit.cli
-from bbpkit.catalog import MAX_MONOMIAL_POWER, default_catalog, verify
+from bbpkit.catalog import MAX_CATALOG_BYTES, MAX_MONOMIAL_POWER, default_catalog, verify
 from bbpkit.cli import MAX_BITS, MAX_DIGITS, MAX_PSLQ_VALUES, format_bound, main
 from bbpkit.pformula import MAX_DEGREE
 
@@ -262,6 +266,31 @@ def test_unreadable_catalog_exit_code(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and f"cannot read catalog {argv[-1]!r}" in err
+
+
+def test_endless_catalog_exit_code():
+    # in a child under a 600 MB address-space cap, which reading all of /dev/zero exhausts
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bbpkit.__file__)))
+    cap = 600_000 * 1024
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "bbpkit.cli", "catalog", "list", "--catalog", "/dev/zero"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert time.perf_counter() - t0 < 1
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert f"catalog '/dev/zero' is longer than {MAX_CATALOG_BYTES} bytes" in proc.stderr
+
+
+def test_extraction_past_the_work_budget_exit_code(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "digits", "--formula",
+                         "65537/1 * P(64, 2^1, 3, [65537, 65537, 4096])",
+                         "--pos", "100000000", "--count", "1024", "--guard", "64")
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "extraction work" in err
 
 
 def test_unknown_formula_id_names_the_id(capsys):

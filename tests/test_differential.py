@@ -9,18 +9,19 @@ checked as well as fresh ones.
 """
 import contextlib
 import io
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bbpkit.catalog import bits_for_digits, default_catalog, derive_bbp
+from bbpkit.catalog import bits_for_digits, default_catalog, derive_bbp, evaluate_expr
 from bbpkit.cli import main
 from bbpkit.generator import _TRIG, LiPoint
 from bbpkit.pformula import EVAL_GUARD_BITS, PFormula, evaluate
 from bbpkit.reference import bernoulli, constant, hurwitz_zeta, li_point_value
-from mp_oracle import context, polylog_part, within
+from mp_oracle import context, expr_value, formula_value, polylog_part, within
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -36,24 +37,11 @@ def formulas(draw):
                     tuple(coeffs), pre, draw(st.booleans()))
 
 
-def _formula_oracle(p: PFormula, ctx):
-    """Term-by-term sum in mpmath floating point, stopped well past its precision."""
-    total = ctx.mpf(0)
-    k = 0
-    while p.base_exp * k <= ctx.prec + 16:
-        block = ctx.fsum(ctx.mpf(a) / ctx.mpf(k * p.length + j) ** p.degree
-                         for j, a in enumerate(p.coeffs, start=1) if a)
-        total += ctx.ldexp(block, -p.base_exp * k)
-        k += 1
-    total *= ctx.mpf(p.pre.numerator) / p.pre.denominator
-    return total * ctx.sqrt(3) if p.root3 else total
-
-
 @settings(max_examples=120, deadline=None)
 @given(formulas(), PRECISIONS)
 def test_evaluate_agrees_with_mpmath(p, precisions):
     ctx = context(max(precisions))
-    ref = _formula_oracle(p, ctx)
+    ref = formula_value(p, ctx)
     for bits in precisions:
         v = evaluate(p, bits)
         assert v.frac_bits == bits + EVAL_GUARD_BITS
@@ -73,7 +61,20 @@ def test_evaluate_agrees_with_mpmath_at_1000_digits():
     bits = bits_for_digits(1000)
     ctx = context(bits)
     for name, p in formulas:
-        assert within(evaluate(p, bits), ctx, _formula_oracle(p, ctx)), name
+        assert within(evaluate(p, bits), ctx, formula_value(p, ctx)), name
+
+
+def test_warm_side_values_hold_the_mpmath_value():
+    records = random.Random(7).sample(default_catalog().records, 12)
+    bits = bits_for_digits(100)
+    ctx = context(bits)
+    for record in records:
+        for expr in (record.lhs, record.rhs):
+            evaluate_expr(expr, 3 * bits)
+            before = evaluate_expr.cache_info()
+            warm = evaluate_expr(expr, bits)
+            assert evaluate_expr.cache_info().hits == before.hits + 1
+            assert within(warm, ctx, expr_value(expr, ctx)), (record.id, str(expr))
 
 
 @st.composite

@@ -3,17 +3,21 @@ from fractions import Fraction
 
 import pytest
 
+from bbpkit.catalog import default_catalog, derive_bbp
 from bbpkit.extractor import (
     MAX_BIT_POS,
     MAX_GUARD_HEX,
     MAX_HEX_DIGITS,
+    MAX_WORK,
     ExtractRequest,
     ExtractionError,
+    check_work,
     digit_window,
     extract,
     to_extractable,
 )
-from bbpkit.pformula import FormulaError, PFormula, evaluate, parse_p, stretch, zero_formula
+from bbpkit.pformula import (FormulaError, PFormula, _blocks, evaluate, parse_p, stretch,
+                             zero_formula)
 
 
 TWO_LOG_TWO = parse_p("P(1, 2^1, 1, [1])")
@@ -206,3 +210,25 @@ def test_request_validation():
         ExtractRequest(TWO_LOG_TWO, 0, MAX_HEX_DIGITS + 1)
     with pytest.raises(ExtractionError):
         ExtractRequest(TWO_LOG_TWO, 0, 8, MAX_GUARD_HEX + 1)
+
+
+WIDEST = 4 * (MAX_HEX_DIGITS + MAX_GUARD_HEX)  # working bits of the widest window
+
+
+def test_work_budget_admits_the_catalog_at_bit_1e7_and_log2_at_the_deepest_bit():
+    # the budget check alone: these extractions take minutes
+    checked = 0
+    for record in default_catalog():
+        if record.kind in ("bbp_ready", "printed_formula"):
+            p = to_extractable(derive_bbp(record))
+            assert check_work(p, _blocks(p, 10**7, WIDEST)) * p.degree <= MAX_WORK, record.id
+            checked += 1
+    assert checked == 33
+    assert check_work(TWO_LOG_TWO, _blocks(TWO_LOG_TWO, MAX_BIT_POS, WIDEST)) <= MAX_WORK
+
+
+def test_work_budget_refuses_a_deep_high_degree_request():
+    f = parse_p("65537/1 * P(64, 2^1, 3, [65537, 65537, 4096])")
+    assert check_work(f, _blocks(f, 10**5, WIDEST)) * 64 <= MAX_WORK
+    with pytest.raises(ExtractionError, match=f"extraction work [0-9]+ above {MAX_WORK}"):
+        extract(ExtractRequest(f, MAX_BIT_POS, MAX_HEX_DIGITS, MAX_GUARD_HEX))

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import floor
 
@@ -96,6 +97,29 @@ def test_round_trip_canonical_forms():
     ):
         p = parse_p(text)
         assert parse_p(serialize_p(p)) == p
+
+
+def test_equal_formulas_hash_equal_however_built():
+    fields = (3, 5, 2, (11, -7), Fraction(5, 7), True)
+    plain = parse_p("5/7 * P(3, 2^5, 2, [11, -7])")
+    assert plain._hash is None  # nothing is hashed at construction
+    hash(plain)
+    replaced = replace(plain, root3=True)
+    assert replaced._hash is None  # the copy does not carry the old hash
+    built = PFormula(*fields)
+    parsed = parse_p("5/7 * sqrt3 * P(3, 2^5, 2, [11, -7])")
+    assert replaced == built == parsed != plain
+    assert hash(replaced) == hash(built) == hash(parsed) == hash(fields)
+    assert hash(parsed) == hash(fields)  # the kept hash is served again
+    assert hash(plain) == hash(fields[:-1] + (False,))
+
+
+def test_hash_slot_is_left_out_of_repr_and_equality():
+    hashed, fresh = parse_p("P(2, 2^4, 2, [1, -3])"), parse_p("P(2, 2^4, 2, [1, -3])")
+    hash(hashed)
+    assert hashed == fresh and fresh._hash is None
+    assert repr(hashed) == repr(fresh) and "_hash" not in repr(hashed)
+    assert {hashed: 1}[fresh] == 1
 
 
 # -- canonical form --------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The precision cache behind evaluate, li_point_value and constant."""
+"""The precision cache behind evaluate, li_point_value, constant, const_value
+and evaluate_expr."""
 import random
 import sys
 import threading
@@ -6,9 +7,10 @@ import threading
 import pytest
 
 from bbpkit.bigmath import CACHE_KEYS, FixReal, precision_cache
+from bbpkit.catalog import default_catalog, evaluate_expr, parse_expr
 from bbpkit.generator import LiPoint
 from bbpkit.pformula import FormulaError, parse_p, evaluate
-from bbpkit.reference import constant, li_point_value
+from bbpkit.reference import ConstMonomial, const_value, constant, li_point_value
 
 
 def _overlap(a: FixReal, b: FixReal) -> bool:
@@ -42,6 +44,26 @@ def test_hit_from_higher_precision_matches_a_fresh_value(fn, key):
     assert hit.frac_bits == fresh.frac_bits
     assert _overlap(hit, fresh)
     assert _overlap(hit, stored)  # the truncation is charged to the error bound
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_warm_sides_and_monomials_match_fresh_values(seed):
+    rng = random.Random(seed)
+    for record in rng.sample(default_catalog().records, 5):
+        high = rng.randrange(200, 1200)
+        low = rng.randrange(8, high + 1)
+        calls = [(evaluate_expr, record.lhs), (evaluate_expr, record.rhs)]
+        calls += [(const_value, term) for _, term in record.lhs.terms + record.rhs.terms
+                  if isinstance(term, ConstMonomial)]
+        for fn, key in calls:
+            stored = fn(key, high)
+            before = fn.cache_info()
+            warm = fn(key, low)
+            assert fn.cache_info() == (before.hits + 1, before.misses), (record.id, key)
+            fresh = fn.__wrapped__(key, low)
+            assert warm.frac_bits == fresh.frac_bits, (record.id, key)
+            assert _overlap(warm, fresh), (record.id, key)
+            assert _overlap(warm, stored), (record.id, key)
 
 
 def test_higher_request_recomputes_and_replaces_the_entry():
@@ -120,6 +142,10 @@ def test_threads_at_mixed_precisions_agree_with_single_threaded_values():
     calls += [(evaluate, parse_p(text), bits)
               for text in ("1/9 * P(2, 2^7, 4, [5, -1, 2, 3])", "P(3, 2^9, 3, [1, 1, -6])")
               for bits in (40, 300, 1100, 2000)]
+    calls += [(fn, key, bits)
+              for fn, key in ((const_value, ConstMonomial(2, 1, "zeta3")),
+                              (evaluate_expr, parse_expr("3 * G + -1/2 * P(2, 2^3, 2, [1, -1])")))
+              for bits in (40, 700, 1500)]
     want = {(fn, key, bits): fn.__wrapped__(key, bits) for fn, key, bits in calls}
     results, errors = [], []
 
