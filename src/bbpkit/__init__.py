@@ -10,7 +10,7 @@ identities with verification and derivation runners.
 
 from .bigmath import FixReal, powmod
 from .pformula import PFormula, PHeader, parse_p, serialize_p, canonicalize, stretch, rebase, align, combine, evaluate
-from .generator import LiPoint, period, generate, li_series_header
+from .generator import LiPoint, period, generate
 from . import reference
 from .extractor import ExtractRequest, ExtractResult, extract, digit_window
 from .relations import RelationResult, PslqReport, pslq
@@ -34,7 +34,6 @@ __all__ = [
     "LiPoint",
     "period",
     "generate",
-    "li_series_header",
     "reference",
     "ExtractRequest",
     "ExtractResult",

@@ -249,18 +249,6 @@ class FixReal(_Fields):
         lo, hi = (truncated_decimal(m + d, 1, digits, f) for d in (-e, e))
         return lo if lo == hi else None
 
-    def hex_frac_window(self, bit_pos: int, hex_count: int) -> str:
-        """Hex digits of frac(2**bit_pos * |value|) in [bit_pos, bit_pos+4*hex_count).
-
-        The caller is responsible for checking that frac_bits and err_ulp
-        leave the window meaningful.
-        """
-        drop = self.frac_bits - bit_pos - 4 * hex_count
-        if drop < 0:
-            raise ValueError("not enough fractional bits for requested window")
-        window = (abs(self.mantissa) >> drop) & ((1 << (4 * hex_count)) - 1)
-        return f"{window:0{hex_count}X}"
-
 
 def _shifted(m: int, shift: int, out_bits: int, err: int) -> FixReal:
     """m * 2^-(out_bits + shift) with error err, as one FixReal at out_bits.

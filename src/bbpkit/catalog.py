@@ -20,11 +20,11 @@ Integers accept the a^e shorthand.
 """
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
-from importlib import resources
 from typing import Iterable, NamedTuple, Union
 
 from .bigmath import CACHE_KEYS, FixReal, precision_cache
@@ -172,16 +172,6 @@ def parse_expr(text: str) -> LinearExpr:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def term_value(term: Term, prec_bits: int) -> FixReal:
-    if isinstance(term, PFormula):
-        return evaluate(term, prec_bits)
-    if isinstance(term, LiPoint):
-        return li_point_value(term, prec_bits)
-    if isinstance(term, ConstMonomial):
-        return const_value(term, prec_bits)
-    raise CatalogError(f"unknown term type {type(term).__name__}")
-
-
 @precision_cache()
 def evaluate_expr(expr: LinearExpr, prec_bits: int) -> FixReal:
     """Certified value of the expression at prec_bits + 32 fraction bits."""
@@ -190,7 +180,15 @@ def evaluate_expr(expr: LinearExpr, prec_bits: int) -> FixReal:
     for coeff, term in expr.terms:
         if coeff == 0:
             continue
-        total = total + term_value(term, work).scale_rat(coeff, work)
+        if isinstance(term, PFormula):
+            value = evaluate(term, work)
+        elif isinstance(term, LiPoint):
+            value = li_point_value(term, work)
+        elif isinstance(term, ConstMonomial):
+            value = const_value(term, work)
+        else:
+            raise CatalogError(f"unknown term type {type(term).__name__}")
+        total = total + value.scale_rat(coeff, work)
     return total
 
 
@@ -288,14 +286,9 @@ def _record(block: dict[str, str], where: str) -> IdentityRecord:
         raise CatalogError(f"{where}: bad record {block.get('id', '?')!r}: {exc}") from exc
 
 
-def _parse_catalog_text(text: str, origin: str) -> Catalog:
-    records = tuple(_record(fields, f"{origin}:{line}") for line, fields in _blocks(text, origin))
-    if not records:
-        raise CatalogError(f"{origin}: catalog contains no records")
-    return Catalog(records)
-
-
 MAX_CATALOG_BYTES = 1 << 20  # a longer catalog file is refused; the packaged one is 25 KB
+
+PACKAGED_CATALOG = os.path.join(os.path.dirname(__file__), "data", "catalog.txt")
 
 
 def load_catalog(path: str) -> Catalog:
@@ -307,14 +300,18 @@ def load_catalog(path: str) -> Catalog:
         raise CatalogError(f"cannot read catalog {path!r}: {exc.strerror or exc}") from None
     if len(data) > MAX_CATALOG_BYTES:
         raise CatalogError(f"catalog {path!r} is longer than {MAX_CATALOG_BYTES} bytes")
-    return _parse_catalog_text(data.decode("utf-8"), path)
+    text = data.decode("utf-8")
+    records = tuple(_record(fields, f"{path}:{line}") for line, fields in _blocks(text, path))
+    if not records:
+        raise CatalogError(f"{path}: catalog contains no records")
+    return Catalog(records)
 
 
 @cache
 def default_catalog() -> Catalog:
-    """The packaged catalog, parsed once per process (every part is frozen)."""
-    data = resources.files("bbpkit").joinpath("data/catalog.txt").read_text("utf-8")
-    return _parse_catalog_text(data, "<packaged catalog>")
+    """The packaged catalog, PACKAGED_CATALOG through load_catalog, parsed once
+    per process (every part is frozen)."""
+    return load_catalog(PACKAGED_CATALOG)
 
 
 # ---------------------------------------------------------------------------

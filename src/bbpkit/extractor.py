@@ -226,7 +226,8 @@ def _result(pid: int, fd: int, mask: int) -> tuple[int, int] | None:
 
 
 def digit_window(formula: PFormula, bit_pos: int, count: int, prec_bits: int) -> str:
-    """Evaluator-backed oracle: hex digits of the value in [bit_pos, bit_pos+4*count).
+    """Evaluator-backed oracle: hex digits of frac(2^bit_pos * |value|) in
+    [bit_pos, bit_pos+4*count).
 
     Requires prec_bits >= bit_pos + 4*count + 64 so the window is meaningful.
     """
@@ -237,4 +238,5 @@ def digit_window(formula: PFormula, bit_pos: int, count: int, prec_bits: int) ->
     slack = value.frac_bits - (bit_pos + 4 * count)
     if value.err_ulp >> max(slack - 8, 0):
         raise FormulaError("evaluation error too large for the requested window")
-    return value.hex_frac_window(bit_pos, count)
+    window = (abs(value.mantissa) >> slack) & ((1 << (4 * count)) - 1)
+    return f"{window:0{count}X}"

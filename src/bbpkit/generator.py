@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .pformula import (MAX_DEGREE, PFormula, PHeader, Scanner, canonicalize, check_table,
+from .pformula import (MAX_DEGREE, PFormula, Scanner, canonicalize, check_table,
                        scan_int, zero_formula)
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "period",
     "part_formulas",
     "generate",
-    "li_series_header",
     "scan_li_point",
     "parse_li_point",
     "serialize_li_point",
@@ -193,12 +192,6 @@ def period(pt: LiPoint) -> int:
     else:
         base = 2 * pt.ang_den // gcd(pt.ang_num, 2 * pt.ang_den)
     return base if (pt.scale_exp * base) % 2 == 0 else 2 * base
-
-
-def li_series_header(pt: LiPoint) -> PHeader:
-    """Header of the minimal formula generate() produces for this point."""
-    length = period(pt)
-    return PHeader(pt.degree, pt.scale_exp * length // 2, length)
 
 
 def part_formulas(pt: LiPoint, length: int) -> list[tuple[int, PFormula]]:

@@ -38,7 +38,6 @@ __all__ = [
     "const_value",
     "li_point_value",
     "pi_machin",
-    "pi_alt",
 ]
 
 _GUARD = 64
@@ -224,14 +223,6 @@ def pi_machin(bits: int) -> FixReal:
     a5, e5 = _atan_inv(5, work)
     a239, e239 = _atan_inv(239, work)
     return FixReal(16 * a5 - 4 * a239, work, 16 * e5 + 4 * e239)
-
-
-def pi_alt(bits: int) -> FixReal:
-    """pi = 8 atan(1/3) + 4 atan(1/7); used to cross-check the Machin value."""
-    work = bits + 32
-    a3, e3 = _atan_inv(3, work)
-    a7, e7 = _atan_inv(7, work)
-    return FixReal(8 * a3 + 4 * a7, work, 8 * e3 + 4 * e7)
 
 
 def _log2_series(bits: int) -> FixReal:

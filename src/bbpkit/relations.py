@@ -25,7 +25,11 @@ from math import isqrt
 
 from .bigmath import FixReal, primitive
 
-__all__ = ["RelationResult", "PslqReport", "PrecisionExhausted", "pslq"]
+__all__ = ["RelationResult", "PslqReport", "PrecisionExhausted", "pslq", "check_work",
+           "MAX_PSLQ_WORK"]
+
+# iteration cap * n * (n + (f/256)^2) of one search: about 110 to 420 ns a unit
+MAX_PSLQ_WORK = 1 << 32
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -51,10 +55,16 @@ class PslqReport:
     status: str  # "found" | "excluded"
 
 
-def _nint_div(a: int, b: int) -> int:
-    if b < 0:
-        a, b = -a, -b
-    return (2 * a + b) // (2 * b)
+def check_work(n: int, prec_bits: int, max_norm: int) -> int:
+    """The iteration cap of a search over n values, after refusing one whose
+    cap times n * (n + (prec_bits/256)^2), the cost of one iteration (n^2 row
+    entries, n full-width rotations), is past MAX_PSLQ_WORK."""
+    max_iter = 64 * n * n * max(max_norm.bit_length(), 8)
+    units = max_iter * n * (n + (prec_bits >> 8) ** 2)
+    if units > MAX_PSLQ_WORK:
+        raise ValueError(f"pslq work {units} above {MAX_PSLQ_WORK} "
+                         "(iteration cap * n * (n + (bits/256)^2))")
+    return max_iter
 
 
 def _confirm(coeffs: tuple[int, ...], values: list[FixReal], prec_bits: int) -> FixReal | None:
@@ -74,10 +84,13 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
     Returns a found relation (gcd-normalized, first nonzero coefficient
     positive, residual certified below 2^(-prec_bits/2) with an error
     interval that contains 0) or an exclusion bound showing no relation with
-    |coefficients| <= max_norm exists at this precision.  Raises PrecisionExhausted when the y-vector reaches the noise
-    floor without either outcome.
+    |coefficients| <= max_norm exists at this precision.  Raises ValueError
+    before any work when ``check_work`` refuses the search, and
+    PrecisionExhausted when the y-vector reaches the noise floor without
+    either outcome.
     """
     n = len(values)
+    max_iter = check_work(n, prec_bits, max_norm)
     if n < 2:
         raise ValueError("need at least two values")
     if max_norm < 1:
@@ -116,9 +129,14 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
             if j < j_stop:
                 return
             hi, hj = H[i], H[j]
-            if hj[j] == 0:
+            a, b = hi[j], hj[j]
+            if b == 0:
                 raise PrecisionExhausted("vanishing diagonal during reduction")
-            t = _nint_div(hi[j], hj[j])
+            if a.bit_length() + 1 < b.bit_length():
+                continue  # |a| < |b|/2: the nearest integer to a/b is 0
+            if b < 0:
+                a, b = -a, -b
+            t = (2 * a + b) // (2 * b)  # the nearest integer to a/b, halves up
             if t == 0:
                 continue
             j_stop = 0
@@ -135,10 +153,12 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
     # gamma^2 = 4/3; compare w_i = 4^i 3^(n-1-i) H_ii^2 exactly
     scale = [4**i * 3 ** (n - 1 - i) for i in range(n - 1)]
     w = [scale[i] * H[i][i] * H[i][i] for i in range(n - 1)]
+    diag = [abs(H[i][i]) for i in range(n - 1)]
+    # _diag_bound(H) > max_norm exactly when 0 < max(diag) <= excluded
+    excluded = (1 << f) // (max_norm + 1)
     noise_floor = 1 << 32
     detect = 1 << 80  # y mantissa below 2^(80-f): try the candidate column
 
-    max_iter = 64 * n * n * max(max_norm.bit_length(), 8)
     for iteration in range(1, max_iter + 1):
         m = w.index(max(w))  # the first maximum
         y[m], y[m + 1] = y[m + 1], y[m]
@@ -155,35 +175,31 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
                 H[i][m] = (a_ * hmm + b_ * hmm1) // t0
                 H[i][m + 1] = (b_ * hmm - a_ * hmm1) // t0
         for j in range(m, min(m + 2, n - 1)):  # the only diagonals that moved
-            w[j] = scale[j] * H[j][j] * H[j][j]
+            hjj = H[j][j]
+            w[j] = scale[j] * hjj * hjj
+            diag[j] = abs(hjj)
 
         for i in range(m + 1, n):
             reduce_row(i, min(i - 1, m + 1), m)
 
         # detection: some y entry collapsed to the working resolution
-        min_abs = min(abs(v) for v in y)
+        min_abs = min(map(abs, y))
         if min_abs < detect:
             idx = min(range(n), key=lambda i: abs(y[i]))
             if any(B[idx]):
                 coeffs = primitive(B[idx])[1]
                 residual = _confirm(coeffs, values, prec_bits)
                 if residual is not None:
-                    bound = _diag_bound(H, n, f)
                     norm = isqrt(sum(c * c for c in coeffs) - 1) + 1  # ceil of the root
-                    return PslqReport(
-                        RelationResult(coeffs, residual, norm),
-                        bound,
-                        iteration,
-                        "found",
-                    )
+                    return PslqReport(RelationResult(coeffs, residual, norm),
+                                      _diag_bound(H, n, f), iteration, "found")
             if min_abs < noise_floor:
                 raise PrecisionExhausted(
                     "y-vector reached the noise floor without a confirmable relation"
                 )
 
-        bound = _diag_bound(H, n, f)
-        if bound > max_norm:
-            return PslqReport(None, bound, iteration, "excluded")
+        if 0 < max(diag) <= excluded:
+            return PslqReport(None, _diag_bound(H, n, f), iteration, "excluded")
 
     raise PrecisionExhausted(f"no decision after {max_iter} iterations")
 

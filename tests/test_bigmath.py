@@ -161,12 +161,6 @@ def test_decimal_rendering():
     assert y.decimal(3) == "-3.500"
 
 
-def test_hex_frac_window():
-    x = FixReal.from_fraction(Fraction(0xAB3, 16**3), 24)  # 0.AB3 in hex
-    assert x.hex_frac_window(0, 3) == "AB3"
-    assert x.hex_frac_window(4, 2) == "B3"
-
-
 # a small expression-tree property: every FixReal op stays within its own
 # declared error bound of the exact rational result
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bbpkit import catalog
 from bbpkit.catalog import (
     MAX_CATALOG_BYTES,
     CatalogError,
@@ -141,6 +142,26 @@ def test_default_catalog_inventory():
     # seven zero-relation identities plus the printed vectors
     ids = [r.id for r in cat if r.kind == "zero_relation"]
     assert len([i for i in ids if not i.endswith("-table")]) == 7
+
+
+def test_default_catalog_is_the_packaged_file_through_load_catalog():
+    packaged = load_catalog(catalog.PACKAGED_CATALOG)
+    assert len(default_catalog()) == len(packaged)
+    for got, want in zip(default_catalog(), packaged):
+        assert got == want
+
+
+def test_default_catalog_refuses_a_missing_packaged_file(tmp_path, monkeypatch):
+    path = str(tmp_path / "catalog.txt")
+    monkeypatch.setattr(catalog, "PACKAGED_CATALOG", path)
+    default_catalog.cache_clear()
+    try:
+        with pytest.raises(CatalogError) as exc:
+            default_catalog()
+    finally:
+        default_catalog.cache_clear()
+    assert str(exc.value).startswith(f"cannot read catalog {path!r}: ")
+    assert "\n" not in str(exc.value)
 
 
 def test_load_rejects_empty_file(tmp_path):

@@ -36,6 +36,16 @@ def test_window_of_zero_formula():
     assert extract(ExtractRequest(zero_formula(2), 5, 8)).digits == "00000000"
 
 
+def test_window_offsets_read_the_magnitude():
+    # 2 log 2 = 1.62E42FEF... in hex: the window starts bit_pos bits after the
+    # point, and a negative value gives the digits of its magnitude
+    negative = PFormula(1, 1, 1, (-1,))
+    for p in (TWO_LOG_TWO, negative):
+        assert digit_window(p, 0, 3, 128) == "62E"
+        assert digit_window(p, 4, 2, 128) == "2E"
+        assert digit_window(p, 8, 1, 128) == "E"
+
+
 def test_window_concatenation():
     w16 = digit_window(TWO_LOG_TWO, 0, 16, 256)
     assert w16 == digit_window(TWO_LOG_TWO, 0, 8, 256) + digit_window(TWO_LOG_TWO, 32, 8, 256)

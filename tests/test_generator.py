@@ -7,7 +7,6 @@ from bbpkit.generator import (
     LiPoint,
     PointError,
     generate,
-    li_series_header,
     parse_li_point,
     part_formulas,
     period,
@@ -61,9 +60,11 @@ def test_period_examples():
 
 
 def test_header_examples():
-    assert li_series_header(LiPoint(2, 1, 1, 4, "re")) == PHeader(2, 4, 8)
-    assert li_series_header(LiPoint(1, 2, 1, 1, "re")) == PHeader(1, 2, 2)
-    assert li_series_header(LiPoint(3, 3, 1, 4, "re")) == PHeader(3, 12, 8)
+    # one period of terms: base 2^(q * period / 2), length period
+    for pt, header in [(LiPoint(2, 1, 1, 4, "re"), PHeader(2, 4, 8)),
+                       (LiPoint(1, 2, 1, 1, "re"), PHeader(1, 2, 2)),
+                       (LiPoint(3, 3, 1, 4, "re"), PHeader(3, 12, 8))]:
+        assert generate(pt, period(pt)).header == header
 
 
 def test_generate_quarter_angle_instance():

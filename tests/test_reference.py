@@ -16,8 +16,8 @@ from bbpkit.reference import (
     constant,
     hurwitz_zeta,
     li_point_value,
-    pi_alt,
     pi_machin,
+    _atan_inv,
 )
 from bbpkit.pformula import EVAL_GUARD_BITS
 from mp_oracle import context, polylog_part, within
@@ -43,6 +43,14 @@ def _close(value: FixReal, decimal_string: str, digits: int = 55) -> bool:
 @pytest.mark.parametrize("name", sorted(KNOWN))
 def test_base_constants(name):
     assert _close(constant(name, 260), KNOWN[name])
+
+
+def pi_alt(bits: int) -> FixReal:
+    """pi = 8 atan(1/3) + 4 atan(1/7), a second decomposition to cross-check Machin's."""
+    work = bits + 32
+    a3, e3 = _atan_inv(3, work)
+    a7, e7 = _atan_inv(7, work)
+    return FixReal(8 * a3 + 4 * a7, work, 8 * e3 + 4 * e7)
 
 
 def test_machin_pair_cross_check():

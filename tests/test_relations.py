@@ -1,13 +1,20 @@
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+import bbpkit
 from bbpkit.bigmath import FixReal
 from bbpkit.catalog import bits_for_digits, default_catalog, evaluate_expr, parse_expr
 from bbpkit.reference import ConstMonomial, const_value
-from bbpkit.relations import PrecisionExhausted, RelationResult, pslq
+from bbpkit.relations import (MAX_PSLQ_WORK, PrecisionExhausted, RelationResult, _diag_bound,
+                              check_work, pslq)
 
 
 def test_certify_pi_minus_pi():
@@ -173,3 +180,72 @@ def test_pslq_iterates_are_pinned(seed, n, bits, planted, max_norm, status, coef
     assert (rep.relation.coeffs if rep.relation else None) == coeffs
     if coeffs:
         assert sum(c * v.mantissa for c, v in zip(coeffs, vals)) == 0
+
+
+# -- the per-iteration rules against the code they replaced ------------------
+
+def _nint_div(a: int, b: int) -> int:
+    """The nearest integer to a/b, halves up, as the search computed it before."""
+    if b < 0:
+        a, b = -a, -b
+    return (2 * a + b) // (2 * b)
+
+
+WIDE = st.integers(min_value=-(1 << 300), max_value=1 << 300)
+
+
+@given(st.lists(st.one_of(st.just(0), WIDE), min_size=1, max_size=6),
+       st.integers(min_value=0, max_value=600), st.integers(min_value=1, max_value=1 << 200))
+@example([0, 0, 0], 64, 1)  # an all-zero diagonal has bound 0
+@example([-(1 << 54)], 64, 1023)  # max|H_jj| exactly at the threshold
+@example([-(1 << 54) - 1], 64, 1023)
+def test_exclusion_threshold_matches_the_diagonal_bound(diagonal, f, max_norm):
+    n = len(diagonal) + 1
+    H = [[d if i == j else 7 for j in range(n - 1)] for i, d in enumerate(diagonal + [0])]
+    biggest = max(map(abs, diagonal))
+    assert (0 < biggest <= (1 << f) // (max_norm + 1)) == (_diag_bound(H, n, f) > max_norm)
+
+
+@given(WIDE, WIDE.filter(bool))
+@example(1, 4)  # 1 and 3 bits: |a| < |b|/2
+@example(-2, 4)  # 2 and 3 bits: the quotient is -1/2, which rounds to 0 but is not skipped
+@example(3, -8)
+def test_short_numerator_has_quotient_zero(a, b):
+    if a.bit_length() + 1 < b.bit_length():
+        assert _nint_div(a, b) == 0
+
+
+# -- the work cap -------------------------------------------------------------
+
+def _admitted_sizes():
+    """(n, bits, max_norm) of every search the tests, the demos and the
+    benchmark run, and of the largest ones the CLI fuzzer can draw."""
+    at120 = bits_for_digits(120)
+    sizes = [(24, at120, 1 << 16), (23, at120, 1 << 16)]  # criterion 4 and demos/04
+    sizes += [(len(r.lhs.terms) + len(r.rhs.terms), at120, 1 << 32) for r in default_catalog()]
+    sizes += [(n, bits, max_norm) for _, n, bits, _, max_norm, *_ in PINNED_SEARCHES]
+    sizes += [(2, 256, 10**6), (3, 384, 100), (4, 680, 10**4), (3, 300, 40), (2, 320, 100),
+              (9, bits_for_digits(20), 10**6), (2, 64, 10)]
+    sizes += [(2, bits_for_digits(400), 10**6), (3, bits_for_digits(999), 10**5),
+              (3, 4096, 10**5)]
+    return sizes
+
+
+def test_work_cap_admits_every_search_that_is_run():
+    for n, bits, max_norm in _admitted_sizes():
+        assert check_work(n, bits, max_norm) == 64 * n * n * max(max_norm.bit_length(), 8)
+
+
+def test_work_cap_refuses_forty_values_at_3000_digits():
+    with pytest.raises(ValueError, match=str(MAX_PSLQ_WORK)):
+        check_work(40, bits_for_digits(3000), 10**6)
+    values = "; ".join(f"1 * ReLi(2, {2 * q}, 0)" for q in range(1, 41))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bbpkit.__file__)))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "bbpkit.cli", "pslq", "--values", values,
+                           "--digits", "3000"], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=30)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "pslq work" in proc.stderr
+    assert elapsed < 1.0
