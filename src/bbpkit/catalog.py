@@ -58,7 +58,7 @@ KINDS = ("generator", "bbp_ready", "zero_relation", "printed_formula")
 MAX_MONOMIAL_POWER = 64  # largest pi^a * log2^b degree a + b in one term; the catalog uses 5
 
 # expression spelling -> atom name; "1" is read as a rational
-_SPECIAL_ATOMS = {spelling: atom for atom, (spelling, _) in ATOMS.items() if atom != "one"}
+_SPECIAL_ATOMS = {spelling: atom for atom, spelling in ATOMS.items() if atom != "one"}
 
 
 class CatalogError(ValueError):

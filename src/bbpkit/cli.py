@@ -21,19 +21,18 @@ from .extractor import ExtractRequest, extract
 from .generator import generate, parse_li_point, period
 from .pformula import PFormula, combine, parse_p, serialize_p
 from .reference import ConstMonomial
-from .relations import PrecisionExhausted, pslq
+from .relations import PrecisionExhausted, check_work, pslq
 
 try:  # very long integers in reports should never trip the str() guard
     sys.set_int_max_str_digits(0)
 except (AttributeError, ValueError):
     pass
 
-__all__ = ["main", "format_bound", "MAX_DIGITS", "MAX_BITS", "EVAL_DOUBLINGS", "MAX_PSLQ_VALUES"]
+__all__ = ["main", "format_bound", "MAX_DIGITS", "MAX_BITS", "EVAL_DOUBLINGS"]
 
 MAX_DIGITS = 100_000  # largest --digits
 MAX_BITS = bits_for_digits(MAX_DIGITS)  # largest --bits, and the most `eval` raises precision to
 EVAL_DOUBLINGS = 6  # `eval` raises precision at most 2^6-fold past its starting bits
-MAX_PSLQ_VALUES = 128  # most `pslq --values`: H is n x (n-1) big integers, O(n^2) work per iteration
 
 
 def format_bound(bound: Fraction) -> str:
@@ -184,10 +183,10 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
 
 def _cmd_pslq(args: argparse.Namespace) -> int:
     bits, _ = _resolve_bits(args, default_digits=120)
-    exprs = [chunk.strip() for chunk in args.values.split(";") if chunk.strip()]
-    if not 2 <= len(exprs) <= MAX_PSLQ_VALUES:
-        raise ValueError(f"pslq needs 2 to {MAX_PSLQ_VALUES} ;-separated expressions")
-    values = [evaluate_expr(parse_expr(e), bits) for e in exprs]
+    chunks = [chunk for chunk in map(str.strip, args.values.split(";")) if chunk]
+    check_work(len(chunks), bits, args.max_norm)  # before any value is parsed
+    exprs = [parse_expr(chunk) for chunk in chunks]  # every value, before any is evaluated
+    values = [evaluate_expr(e, bits) for e in exprs]
     try:
         report = pslq(values, args.max_norm, bits)
     except PrecisionExhausted as exc:

@@ -17,8 +17,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .pformula import (MAX_DEGREE, PFormula, Scanner, canonicalize, check_table,
-                       scan_int, zero_formula)
+from .pformula import (PFormula, Scanner, canonicalize, check_degree, check_table, scan_int,
+                       zero_formula)
 
 __all__ = [
     "LiPoint",
@@ -96,8 +96,7 @@ class LiPoint:
     part: str  # "re" | "im"
 
     def __post_init__(self) -> None:
-        if not 1 <= self.degree <= MAX_DEGREE:
-            raise PointError(f"degree must be in [1, {MAX_DEGREE}]")
+        check_degree(self.degree, PointError)
         if self.scale_exp < 1:
             raise PointError("scale exponent must be positive")
         if self.part not in ("re", "im"):

@@ -40,6 +40,7 @@ __all__ = [
     "Scanner",
     "scan_int",
     "MAX_TABLE_BITS",
+    "check_degree",
     "check_table",
     "scan_rational",
     "scan_p",
@@ -91,8 +92,7 @@ class PFormula:
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.degree <= MAX_DEGREE:
-            raise FormulaError(f"degree must be in [1, {MAX_DEGREE}]")
+        check_degree(self.degree)
         if self.base_exp < 1:
             raise FormulaError("base exponent must be positive")
         if self.length < 1:
@@ -213,6 +213,12 @@ def scan_int(sc: Scanner) -> int:
             raise ParseError(f"power longer than {MAX_POWER_BITS} bits", sc.position(at))
         value **= exp
     return sign * value
+
+
+def check_degree(degree: int, error: type[ValueError] = FormulaError) -> None:
+    """Refuse a series degree outside [1, MAX_DEGREE]."""
+    if not 1 <= degree <= MAX_DEGREE:
+        raise error(f"degree must be in [1, {MAX_DEGREE}]")
 
 
 def check_table(length: int, base_exp: int, coeff_bits: int,

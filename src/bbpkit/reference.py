@@ -42,15 +42,9 @@ __all__ = [
 
 _GUARD = 64
 
-# atom name -> (its spelling in expressions, its degree as a polylogarithm constant)
-ATOMS = {
-    "one": ("1", 0),
-    "zeta3": ("zeta3", 3),
-    "zeta5": ("zeta5", 5),
-    "catalan": ("G", 2),
-    "cl2_pi3": ("Cl2pi3", 2),
-    "cl4_pi2": ("Cl4pi2", 4),
-}
+# atom name -> its spelling in expressions
+ATOMS = {"one": "1", "zeta3": "zeta3", "zeta5": "zeta5", "catalan": "G", "cl2_pi3": "Cl2pi3",
+         "cl4_pi2": "Cl4pi2"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,10 +61,6 @@ class ConstMonomial:
         if self.atom not in ATOMS:
             raise ValueError(f"unknown atom {self.atom!r}")
 
-    @property
-    def total_degree(self) -> int:
-        return self.pi_pow + self.log2_pow + ATOMS[self.atom][1]
-
     def __str__(self) -> str:
         parts = []
         if self.pi_pow:
@@ -78,7 +68,7 @@ class ConstMonomial:
         if self.log2_pow:
             parts.append("log2" if self.log2_pow == 1 else f"log2^{self.log2_pow}")
         if self.atom != "one" or not parts:
-            parts.append(ATOMS[self.atom][0])
+            parts.append(ATOMS[self.atom])
         return " * ".join(parts)
 
 
@@ -262,7 +252,6 @@ _BUILDERS: dict[str, Callable[[int], FixReal]] = {
     "catalan": lambda bits: _beta_even(2, bits),
     "cl4_pi2": lambda bits: _beta_even(4, bits),
     "cl2_pi3": _cl2_pi3,
-    "one": lambda bits: FixReal.from_int(1, bits),
 }
 
 

@@ -28,7 +28,7 @@ from .bigmath import FixReal, primitive
 __all__ = ["RelationResult", "PslqReport", "PrecisionExhausted", "pslq", "check_work",
            "MAX_PSLQ_WORK"]
 
-# iteration cap * n * (n + (f/256)^2) of one search: about 110 to 420 ns a unit
+# iteration cap * n * (n + (f/256)^2 when n > 2) of one search: about 110 to 420 ns a unit
 MAX_PSLQ_WORK = 1 << 32
 
 
@@ -56,11 +56,16 @@ class PslqReport:
 
 
 def check_work(n: int, prec_bits: int, max_norm: int) -> int:
-    """The iteration cap of a search over n values, after refusing one whose
-    cap times n * (n + (prec_bits/256)^2), the cost of one iteration (n^2 row
-    entries, n full-width rotations), is past MAX_PSLQ_WORK."""
+    """The iteration cap of a search over n values, after refusing fewer than
+    two values, a max_norm below 1, and a search whose cap times n * (n + r)
+    is past MAX_PSLQ_WORK: each iteration touches n^2 row entries and, when
+    n > 2, rotates n full-width rows, each costing r = (prec_bits/256)^2."""
+    if n < 2:
+        raise ValueError("need at least two values")
+    if max_norm < 1:
+        raise ValueError("max_norm must be positive")
     max_iter = 64 * n * n * max(max_norm.bit_length(), 8)
-    units = max_iter * n * (n + (prec_bits >> 8) ** 2)
+    units = max_iter * n * (n + ((prec_bits >> 8) ** 2 if n > 2 else 0))
     if units > MAX_PSLQ_WORK:
         raise ValueError(f"pslq work {units} above {MAX_PSLQ_WORK} "
                          "(iteration cap * n * (n + (bits/256)^2))")
@@ -91,10 +96,6 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
     """
     n = len(values)
     max_iter = check_work(n, prec_bits, max_norm)
-    if n < 2:
-        raise ValueError("need at least two values")
-    if max_norm < 1:
-        raise ValueError("max_norm must be positive")
     f = prec_bits
     xs = [v.rescale(f).mantissa for v in values]
     if any(x == 0 for x in xs):

@@ -10,9 +10,11 @@ import pytest
 
 import bbpkit.catalog
 import bbpkit.cli
-from bbpkit.catalog import MAX_CATALOG_BYTES, MAX_MONOMIAL_POWER, default_catalog, verify
-from bbpkit.cli import MAX_BITS, MAX_DIGITS, MAX_PSLQ_VALUES, format_bound, main
+from bbpkit.catalog import (MAX_CATALOG_BYTES, MAX_MONOMIAL_POWER, bits_for_digits,
+                            default_catalog, verify)
+from bbpkit.cli import MAX_BITS, MAX_DIGITS, format_bound, main
 from bbpkit.pformula import MAX_DEGREE
+from bbpkit.relations import check_work
 
 
 def run(capsys, *argv):
@@ -407,9 +409,11 @@ def test_residual_bounds_never_print_below_the_bound(capsys):
     assert Fraction(bound) > 0
 
 
-def test_pslq_value_count_limit_exit_code(capsys):
-    # a zero denominator is never reached: the count is refused before evaluation
-    values = "; ".join(["1/0 * pi"] * (MAX_PSLQ_VALUES + 1))
+def test_pslq_value_count_past_the_work_cap_exit_code(capsys):
+    # a zero denominator is never reached: the count is refused before parsing
+    values = "; ".join(["1/0 * pi"] * 129)
     code, out, err = run(capsys, "pslq", "--values", values)
     assert code == 2 and out == ""
-    assert err.count("\n") == 1 and str(MAX_PSLQ_VALUES) in err
+    with pytest.raises(ValueError, match="pslq work .* above") as refused:
+        check_work(129, bits_for_digits(120), 10**6)  # the default precision and norm
+    assert err == f"bbp: error: {refused.value}\n"

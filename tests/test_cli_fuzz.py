@@ -17,10 +17,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bbpkit
-from bbpkit.catalog import MAX_MONOMIAL_POWER, default_catalog
-from bbpkit.cli import MAX_BITS, MAX_DIGITS, MAX_PSLQ_VALUES
+from bbpkit.catalog import MAX_MONOMIAL_POWER, bits_for_digits, default_catalog
+from bbpkit.cli import MAX_BITS, MAX_DIGITS
 from bbpkit.extractor import MAX_BIT_POS, MAX_GUARD_HEX, MAX_HEX_DIGITS
 from bbpkit.pformula import MAX_DEGREE, MAX_POWER_BITS
+from bbpkit.relations import check_work
 
 CHILD_AS_BYTES = 1 << 30
 CHILD_CPU_S = 20
@@ -39,6 +40,21 @@ DIGITS = _slots(999, 15, MAX_DIGITS + 1)
 BITS = _slots(4096, MAX_BITS + 1)
 DEGREE = _slots(MAX_DEGREE, MAX_DEGREE + 1)
 SMALL = _slots(1 << 12, MAX_POWER_BITS, MAX_POWER_BITS + 1)
+
+
+def _fewest_refused_values() -> int:
+    """The fewest values that check_work refuses at the lowest precision and
+    max_norm 1, so at any precision and norm."""
+    n = 2
+    while True:
+        try:
+            check_work(n, bits_for_digits(16), 1)
+        except ValueError:
+            return n
+        n += 1
+
+
+PSLQ_REFUSED = _fewest_refused_values()  # the value count just past the work cap
 IDS = st.sampled_from(sorted(r.id for r in default_catalog())[::7] + ["nope", ""])
 
 
@@ -125,7 +141,7 @@ def _args(subcommand: str, catalog_dir) -> st.SearchStrategy[list[str]]:
         if subcommand == "verify-all":
             return ["verify-all", *cat, *draw(_precision())]
         if subcommand == "pslq":
-            n = draw(st.sampled_from([1, 2, 3, MAX_PSLQ_VALUES + 1]))
+            n = draw(st.sampled_from([1, 2, 3, PSLQ_REFUSED]))
             values = "; ".join(draw(_expr(1)) for _ in range(min(n, 3)))
             values += "; 1" * (n - min(n, 3))
             return ["pslq", "--values", values, *draw(_precision()),

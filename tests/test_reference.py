@@ -214,13 +214,6 @@ def test_const_monomial_pi_squared():
     assert v.decimal(10) == "9.8696044010"
 
 
-def test_const_monomial_degree():
-    assert ConstMonomial(pi_pow=2).total_degree == 2
-    assert ConstMonomial(pi_pow=1, log2_pow=3).total_degree == 4
-    assert ConstMonomial(atom="zeta5").total_degree == 5
-    assert ConstMonomial(atom="catalan").total_degree == 2
-
-
 def test_const_monomial_rejects_unknown_atom():
     with pytest.raises(ValueError):
         ConstMonomial(atom="feigenbaum")

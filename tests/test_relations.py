@@ -12,6 +12,7 @@ from hypothesis import example, given, strategies as st
 import bbpkit
 from bbpkit.bigmath import FixReal
 from bbpkit.catalog import bits_for_digits, default_catalog, evaluate_expr, parse_expr
+from bbpkit.cli import MAX_DIGITS
 from bbpkit.reference import ConstMonomial, const_value
 from bbpkit.relations import (MAX_PSLQ_WORK, PrecisionExhausted, RelationResult, _diag_bound,
                               check_work, pslq)
@@ -121,8 +122,11 @@ def test_pslq_refuses_a_relation_its_residual_disproves():
 
 
 def test_pslq_input_validation():
-    with pytest.raises(ValueError):
-        pslq([FixReal.from_int(1, 64)], 10, 64)
+    one = FixReal.from_int(1, 64)
+    with pytest.raises(ValueError, match="at least two values"):
+        pslq([one], 10, 64)
+    with pytest.raises(ValueError, match="max_norm must be positive"):
+        pslq([one, one], 0, 64)
     with pytest.raises(PrecisionExhausted):
         pslq([FixReal.zero(64), FixReal.from_int(1, 64)], 10, 64)
 
@@ -228,6 +232,7 @@ def _admitted_sizes():
               (9, bits_for_digits(20), 10**6), (2, 64, 10)]
     sizes += [(2, bits_for_digits(400), 10**6), (3, bits_for_digits(999), 10**5),
               (3, 4096, 10**5)]
+    sizes += [(2, bits_for_digits(MAX_DIGITS), 10**6)]  # the widest pair: two values never rotate
     return sizes
 
 
@@ -236,16 +241,37 @@ def test_work_cap_admits_every_search_that_is_run():
         assert check_work(n, bits, max_norm) == 64 * n * n * max(max_norm.bit_length(), 8)
 
 
+def _cli_pslq(values: str, *flags: str) -> tuple[subprocess.CompletedProcess, float]:
+    """`bbp pslq --values values *flags` in a child process, and its wall time."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bbpkit.__file__)))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "bbpkit.cli", "pslq", "--values", values, *flags],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=30)
+    return proc, time.perf_counter() - start
+
+
 def test_work_cap_refuses_forty_values_at_3000_digits():
     with pytest.raises(ValueError, match=str(MAX_PSLQ_WORK)):
         check_work(40, bits_for_digits(3000), 10**6)
+    with pytest.raises(ValueError, match=str(MAX_PSLQ_WORK)):  # n > 2: rotations are charged
+        check_work(3, bits_for_digits(30000), 10**6)
     values = "; ".join(f"1 * ReLi(2, {2 * q}, 0)" for q in range(1, 41))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(bbpkit.__file__)))
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "bbpkit.cli", "pslq", "--values", values,
-                           "--digits", "3000"], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=30)
-    elapsed = time.perf_counter() - start
+    proc, elapsed = _cli_pslq(values, "--digits", "3000")
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "pslq work" in proc.stderr
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("values, flags, message", [
+    ("1 * zeta3; 1 * zeta5; 1 * G", ("--digits", "30000"), "pslq work"),
+    ("1 * zeta3; 1 * zeta5; 1 * G", ("--digits", "20000", "--max-norm", "0"),
+     "max_norm must be positive"),
+    ("1 * zeta3; 1 * zeta5; 1/0 * G", ("--digits", "20000"), "zero denominator"),
+])
+def test_refused_search_exits_before_any_value_is_evaluated(values, flags, message):
+    # each value takes seconds to evaluate at these precisions
+    proc, elapsed = _cli_pslq(values, *flags)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and message in proc.stderr
     assert elapsed < 1.0
