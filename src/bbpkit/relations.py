@@ -28,7 +28,7 @@ from .bigmath import FixReal, primitive
 __all__ = ["RelationResult", "PslqReport", "PrecisionExhausted", "pslq", "check_work",
            "MAX_PSLQ_WORK"]
 
-# iteration cap * n * (n + (f/256)^2 when n > 2) of one search: about 110 to 420 ns a unit
+# iteration cap * n * (n + r) of one search, r as in check_work: about 90 to 700 ns a unit
 MAX_PSLQ_WORK = 1 << 32
 
 
@@ -58,17 +58,18 @@ class PslqReport:
 def check_work(n: int, prec_bits: int, max_norm: int) -> int:
     """The iteration cap of a search over n values, after refusing fewer than
     two values, a max_norm below 1, and a search whose cap times n * (n + r)
-    is past MAX_PSLQ_WORK: each iteration touches n^2 row entries and, when
-    n > 2, rotates n full-width rows, each costing r = (prec_bits/256)^2."""
+    is past MAX_PSLQ_WORK: each iteration touches n^2 row entries and n
+    full-width ones, each costing r = (prec_bits/256)^2 when n > 2 (a
+    rotation) and r = (prec_bits/1024)^2 when n = 2 (a pair never rotates,
+    but squares a full-width diagonal and reduces a full-width row)."""
     if n < 2:
         raise ValueError("need at least two values")
     if max_norm < 1:
         raise ValueError("max_norm must be positive")
     max_iter = 64 * n * n * max(max_norm.bit_length(), 8)
-    units = max_iter * n * (n + ((prec_bits >> 8) ** 2 if n > 2 else 0))
+    units = max_iter * n * (n + (prec_bits >> (8 if n > 2 else 10)) ** 2)
     if units > MAX_PSLQ_WORK:
-        raise ValueError(f"pslq work {units} above {MAX_PSLQ_WORK} "
-                         "(iteration cap * n * (n + (bits/256)^2))")
+        raise ValueError(f"pslq work {units} above {MAX_PSLQ_WORK}")
     return max_iter
 
 

@@ -256,6 +256,9 @@ def test_work_cap_refuses_forty_values_at_3000_digits():
         check_work(40, bits_for_digits(3000), 10**6)
     with pytest.raises(ValueError, match=str(MAX_PSLQ_WORK)):  # n > 2: rotations are charged
         check_work(3, bits_for_digits(30000), 10**6)
+    for max_norm in (10**1000, 10**50000):  # a pair still does full-width work each iteration
+        with pytest.raises(ValueError, match=str(MAX_PSLQ_WORK)):
+            check_work(2, bits_for_digits(MAX_DIGITS), max_norm)
     values = "; ".join(f"1 * ReLi(2, {2 * q}, 0)" for q in range(1, 41))
     proc, elapsed = _cli_pslq(values, "--digits", "3000")
     assert proc.returncode == 2 and proc.stdout == ""
