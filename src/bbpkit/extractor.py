@@ -36,15 +36,12 @@ __all__ = [
     "MAX_BIT_POS",
     "MAX_HEX_DIGITS",
     "MAX_GUARD_HEX",
-    "MAX_WORK",
 ]
 
-# Request limits: ExtractRequest refuses a deeper position or a wider window,
-# and extract a sum of more than MAX_WORK blocks * nonzero terms * degree.
+# Request limits: ExtractRequest refuses a deeper position or a wider window.
 MAX_BIT_POS = 10**8
 MAX_HEX_DIGITS = 1024
 MAX_GUARD_HEX = 64
-MAX_WORK = 1 << 27
 
 SIGN_PROBE_BITS = 64
 # processes a deep request is split across, and the fewest nonzero terms each
@@ -98,18 +95,18 @@ def extract(req: ExtractRequest) -> ExtractResult:
     The digits always describe the magnitude; the sign of the value is
     certified by evaluation.  Each group of terms is floored once and charges
     one ulp to the error budget, plus two for the dropped tail and the sign
-    flip.  Raises ExtractionError before the sum when ``check_work`` refuses
-    it, and ConfidenceError when the accumulator lands within that
-    budget of a carry boundary, or when the sign stays unresolved at
-    bit_pos + 4*(hex_digits + guard_hex) + 64 bits; the sign is never guessed.
+    flip.  Raises FormulaError when ``pformula._blocks`` refuses the sum
+    (before it starts) or a sign probe, and ConfidenceError when the
+    accumulator lands within that budget of a carry boundary, or when the
+    sign stays unresolved at bit_pos + 4*(hex_digits + guard_hex) + 64 bits;
+    the sign is never guessed.
     """
     p = to_extractable(req.formula)
     if p.is_zero():
         return ExtractResult("0" * req.hex_digits, 4 * req.guard_hex)
     work = 4 * (req.hex_digits + req.guard_hex)
     mask = (1 << work) - 1
-    blocks = _blocks(p, req.bit_pos, work)
-    terms = check_work(p, blocks)
+    blocks, terms = _blocks(p, req.bit_pos, work)
     acc, groups = _split(partial(_scaled_sum, p, req.bit_pos, work), blocks, terms, mask)
     err = groups + 2  # the dropped tail and the sign flip
 
@@ -135,17 +132,6 @@ def extract(req: ExtractRequest) -> ExtractResult:
         acc = -acc & mask
     digits = f"{acc >> tail_bits:0{req.hex_digits}X}"
     return ExtractResult(digits, margin.bit_length())
-
-
-def check_work(p: PFormula, blocks: int) -> int:
-    """The nonzero terms in ``blocks`` blocks of p, after refusing a sum of
-    them past MAX_WORK: each term multiplies in a (k*l + j)^degree modulus."""
-    terms = blocks * sum(1 for a in p.coeffs if a)
-    units = terms * p.degree
-    if units > MAX_WORK:
-        raise ExtractionError(f"extraction work {units} above {MAX_WORK} "
-                              "(blocks * nonzero terms * degree)")
-    return terms
 
 
 Head = Callable[[int, int], tuple[int, int]]

@@ -14,7 +14,8 @@ blocks), alignment of several formulas onto one common header, rational
 linear combination, and the one certified series sum: ``_scaled_sum`` floors
 each group of terms of 2^pos * value once at a working precision.  Digit
 extraction reads it modulo one at its bit position; evaluation is the same
-sum at position 0.
+sum at position 0.  ``_blocks`` sizes the sum for both and refuses one past
+MAX_WORK before it starts.
 
 Formulas produced from imaginary parts at angle pi/3 carry an extra sqrt(3)
 factor; it is tracked by the ``root3`` flag, kept out of the integer
@@ -37,6 +38,7 @@ __all__ = [
     "FormulaError",
     "MAX_POWER_BITS",
     "MAX_DEGREE",
+    "MAX_WORK",
     "Scanner",
     "scan_int",
     "MAX_TABLE_BITS",
@@ -59,6 +61,7 @@ EVAL_GUARD_BITS = 64
 GROUP_BITS = 384  # a group of terms closes once its modulus is this wide
 POW_MIN_EXP = 8 * GROUP_BITS  # below this 2^e, one shift and division beat pow(2, e, m)
 MAX_DEGREE = 64  # largest series degree s; the catalog uses 5
+MAX_WORK = 1 << 27  # most blocks * nonzero terms * degree * width factor of one sum, see _blocks
 
 
 class ParseError(ValueError):
@@ -445,15 +448,27 @@ def _groups(p: PFormula, start: int, stop: int) -> Iterator[tuple[int, int, int]
         yield stop - 1, n, m
 
 
-def _blocks(p: PFormula, pos: int, work: int) -> int:
-    """Blocks after which the tail of 2^pos * value drops below one ulp at 2^-work.
+def _blocks(p: PFormula, pos: int, work: int) -> tuple[int, int]:
+    """(blocks, terms): the blocks after which the tail of 2^pos * value drops
+    below one ulp at 2^-work, and the nonzero terms in them, after refusing a
+    sum whose blocks * nonzero terms * degree * (1 + (work >> 13)) is past
+    MAX_WORK.
 
     The tail after block k is below 2^(pos + 1 - B*k) * |pre| * sum|A|, that is
     below one ulp once 2^(B*k) exceeds 2^pos * (|num| * sum|A| << (work + 1)) / den,
-    whose bit length is at most pos plus that of the quotient's floor.
+    whose bit length is at most pos plus that of the quotient's floor.  Each
+    term multiplies a (k*l + j)^degree modulus into its group, and each group
+    divides a number up to work bits wide, which the last factor charges past
+    2^13 bits; an extraction (at most 4352 bits) is charged factor 1.
     """
     bound = abs(p.pre.numerator) * sum(abs(a) for a in p.coeffs) << (work + 1)
-    return -(-(pos + (bound // p.pre.denominator).bit_length()) // p.base_exp)
+    blocks = -(-(pos + (bound // p.pre.denominator).bit_length()) // p.base_exp)
+    terms = blocks * sum(1 for a in p.coeffs if a)
+    units = terms * p.degree * (1 + (work >> 13))
+    if units > MAX_WORK:
+        raise FormulaError(f"series work {units} above {MAX_WORK} "
+                           "(blocks * nonzero terms * degree * width factor)")
+    return blocks, terms
 
 
 def _scaled_sum(p: PFormula, pos: int, work: int, start: int, stop: int) -> tuple[int, int]:
@@ -489,12 +504,12 @@ def evaluate(p: PFormula, prec_bits: int) -> FixReal:
     bounded through the coefficient magnitude sum, drops below one working
     ulp.  Each group of ``_groups`` is floored once and charges one ulp to the
     certified error bound; the dropped tail charges one more.  Raises
-    FormulaError below 8 bits.
+    FormulaError below 8 bits, and before the sum when ``_blocks`` refuses it.
     """
     work = prec_bits + EVAL_GUARD_BITS
     if p.is_zero():
         return FixReal(0, work, 0)
-    acc, groups = _scaled_sum(p, 0, work, 0, _blocks(p, 0, work))
+    acc, groups = _scaled_sum(p, 0, work, 0, _blocks(p, 0, work)[0])
     result = FixReal(acc, work, groups + 1)
     if p.root3:
         result = result.mul(fix_sqrt_int(3, work), work)

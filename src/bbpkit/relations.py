@@ -40,7 +40,6 @@ class PrecisionExhausted(ArithmeticError):
 class RelationResult:
     coeffs: tuple[int, ...]
     residual: FixReal
-    norm_bound: int  # the Euclidean norm of coeffs, rounded up
 
     def __post_init__(self) -> None:
         if not any(self.coeffs):
@@ -192,8 +191,7 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
                 coeffs = primitive(B[idx])[1]
                 residual = _confirm(coeffs, values, prec_bits)
                 if residual is not None:
-                    norm = isqrt(sum(c * c for c in coeffs) - 1) + 1  # ceil of the root
-                    return PslqReport(RelationResult(coeffs, residual, norm),
+                    return PslqReport(RelationResult(coeffs, residual),
                                       _diag_bound(H, n, f), iteration, "found")
             if min_abs < noise_floor:
                 raise PrecisionExhausted(

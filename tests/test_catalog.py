@@ -16,8 +16,10 @@ from bbpkit.catalog import (
     serialize_expr,
     verify,
 )
-from bbpkit.generator import LiPoint, generate, period
-from bbpkit.pformula import PFormula, PHeader, canonicalize, combine, rebase, stretch
+from bbpkit.cli import MAX_BITS
+from bbpkit.generator import LiPoint, generate, part_formulas, period
+from bbpkit.pformula import (EVAL_GUARD_BITS, PFormula, PHeader, _blocks, canonicalize, combine,
+                             rebase, stretch)
 from bbpkit.reference import ConstMonomial
 
 
@@ -257,6 +259,26 @@ def test_verify_structurally_equal_sides():
     rec = IdentityRecord("t", "a", "generator", e, e)
     rep = verify(rec, 50)
     assert rep.passed and rep.residual.mantissa == 0
+
+
+def test_work_budget_admits_every_catalog_term_at_the_largest_precision():
+    # the budget check alone, which raises past MAX_WORK: these sums take minutes.
+    # The widest `eval`, `verify` or `pslq` sums each formula term, and each part
+    # of each point, at MAX_BITS + 32 (evaluate_expr) + EVAL_GUARD_BITS (evaluate).
+    work = MAX_BITS + 32 + EVAL_GUARD_BITS
+    checked = 0
+    for record in default_catalog():
+        for _, term in record.lhs.terms + record.rhs.terms:
+            if isinstance(term, LiPoint):
+                formulas = [p for _, p in part_formulas(term, period(term))]
+            elif isinstance(term, PFormula):
+                formulas = [term]
+            else:
+                continue
+            for p in formulas:
+                _blocks(p, 0, work)
+            checked += len(formulas)
+    assert checked == 272
 
 
 # -- derivation --------------------------------------------------------------------

@@ -13,7 +13,7 @@ import bbpkit.cli
 from bbpkit.catalog import (MAX_CATALOG_BYTES, MAX_MONOMIAL_POWER, bits_for_digits,
                             default_catalog, verify)
 from bbpkit.cli import MAX_BITS, MAX_DIGITS, format_bound, main
-from bbpkit.pformula import MAX_DEGREE
+from bbpkit.pformula import MAX_DEGREE, MAX_WORK
 from bbpkit.relations import check_work
 
 
@@ -292,7 +292,25 @@ def test_extraction_past_the_work_budget_exit_code(capsys):
                          "--pos", "100000000", "--count", "1024", "--guard", "64")
     assert time.perf_counter() - t0 < 1
     assert code == 2 and out == ""
-    assert err.count("\n") == 1 and "extraction work" in err
+    assert err.count("\n") == 1 and f"series work 19200842304 above {MAX_WORK}" in err
+
+
+LONG_TABLE = f"1 * P(64, 2^1, 1000, [{', '.join(['1'] * 1000)}])"
+
+
+@pytest.mark.parametrize("formula, digits", [(LONG_TABLE, 1000),
+                                             ("1 * P(64, 2^1, 1, [1])", MAX_DIGITS)])
+def test_evaluation_past_the_work_budget_exits_in_a_child(formula, digits):
+    # in a child with a timeout: were they admitted, these would run 18 s and past 20 s
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bbpkit.__file__)))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "bbpkit.cli", "eval", formula, "--digits", str(digits)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - t0 < 1
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert f"above {MAX_WORK}" in proc.stderr
 
 
 def test_unknown_formula_id_names_the_id(capsys):

@@ -4,9 +4,13 @@ Each example runs `python -m bbpkit.cli` in its own child process, one at a
 time, under an address-space and a CPU-time limit set on that child only.
 Numeric arguments are drawn from 0, +-1, powers of two, 10^k - 1 and the
 values just past each documented limit, capped so that every accepted
-request finishes in about a second.  Whatever the input, the exit code must
-be 0, 1 or 2, stderr must hold no traceback, and an exit 2 must print exactly
-one line.  No slot varies the shard count.
+request finishes in about a second.  The long-table slot evaluates 1000
+terms at degree 64 on the base 2^1: its largest admitted combination,
+65537/1 * P(64, 2^1, 1000, [65537, ...]) at 99 digits, is charged 3.4e7 of
+the 2^27 series-work units (about 1.1 s on 2 vCPUs), and every draw at 999
+digits is refused.  Whatever the input, the exit code must be 0, 1 or 2,
+stderr must hold no traceback, and an exit 2 must print exactly one line.
+No slot varies the shard count.
 """
 import os
 import resource
@@ -55,6 +59,8 @@ def _fewest_refused_values() -> int:
 
 
 PSLQ_REFUSED = _fewest_refused_values()  # the value count just past the work cap
+LONG_LENGTH = 1000
+LONG_DIGITS = _slots(99, 999)  # a long table is admitted up to 99 digits, refused at 999
 IDS = st.sampled_from(sorted(r.id for r in default_catalog())[::7] + ["nope", ""])
 
 
@@ -65,6 +71,13 @@ def _formula(draw) -> str:
     coeffs = ", ".join(str(draw(SMALL)) for _ in range(draw(st.sampled_from([length, 2]))))
     body = f"P({draw(DEGREE)}, 2^{draw(SMALL)}, {length}, [{coeffs}])"
     return f"{draw(SMALL)}/{draw(SMALL)} * {root}{body}"
+
+
+@st.composite
+def _long_table(draw) -> str:
+    """LONG_LENGTH terms at MAX_DEGREE on the base 2^1, one drawn coefficient repeated."""
+    coeffs = ", ".join([str(draw(SMALL))] * LONG_LENGTH)
+    return f"{draw(SMALL)}/{draw(SMALL)} * P({MAX_DEGREE}, 2^1, {LONG_LENGTH}, [{coeffs}])"
 
 
 @st.composite
@@ -119,8 +132,11 @@ def _args(subcommand: str, catalog_dir) -> st.SearchStrategy[list[str]]:
                 [b"", b'[identity]\nid = "x"\n', b'version = "2"\n[identity]\nlhs = "1/0"\n'])))
             cat = ["--catalog", str(path)]
         if subcommand == "eval":
-            target = (["--formula-id", draw(IDS)] if draw(st.booleans())
-                      else ["--", draw(_expr())])
+            kind = draw(st.sampled_from(["id", "expr", "long"]))
+            if kind == "long":
+                return ["eval", *cat, "--digits", str(draw(LONG_DIGITS)), "--",
+                        draw(_long_table())]
+            target = ["--formula-id", draw(IDS)] if kind == "id" else ["--", draw(_expr())]
             return ["eval", *cat, *draw(_precision()), *target]
         if subcommand == "digits":
             target = (["--formula-id", draw(IDS)] if draw(st.booleans())

@@ -8,16 +8,14 @@ from bbpkit.extractor import (
     MAX_BIT_POS,
     MAX_GUARD_HEX,
     MAX_HEX_DIGITS,
-    MAX_WORK,
     ExtractRequest,
     ExtractionError,
-    check_work,
     digit_window,
     extract,
     to_extractable,
 )
-from bbpkit.pformula import (FormulaError, PFormula, _blocks, evaluate, parse_p, stretch,
-                             zero_formula)
+from bbpkit.pformula import (MAX_WORK, FormulaError, PFormula, _blocks, evaluate, parse_p,
+                             stretch, zero_formula)
 
 
 TWO_LOG_TWO = parse_p("P(1, 2^1, 1, [1])")
@@ -226,19 +224,19 @@ WIDEST = 4 * (MAX_HEX_DIGITS + MAX_GUARD_HEX)  # working bits of the widest wind
 
 
 def test_work_budget_admits_the_catalog_at_bit_1e7_and_log2_at_the_deepest_bit():
-    # the budget check alone: these extractions take minutes
+    # the budget check alone, which raises past MAX_WORK: these extractions take minutes
     checked = 0
     for record in default_catalog():
         if record.kind in ("bbp_ready", "printed_formula"):
             p = to_extractable(derive_bbp(record))
-            assert check_work(p, _blocks(p, 10**7, WIDEST)) * p.degree <= MAX_WORK, record.id
+            assert _blocks(p, 10**7, WIDEST)[1] * p.degree <= MAX_WORK, record.id
             checked += 1
     assert checked == 33
-    assert check_work(TWO_LOG_TWO, _blocks(TWO_LOG_TWO, MAX_BIT_POS, WIDEST)) <= MAX_WORK
+    assert _blocks(TWO_LOG_TWO, MAX_BIT_POS, WIDEST)[1] <= MAX_WORK
 
 
 def test_work_budget_refuses_a_deep_high_degree_request():
     f = parse_p("65537/1 * P(64, 2^1, 3, [65537, 65537, 4096])")
-    assert check_work(f, _blocks(f, 10**5, WIDEST)) * 64 <= MAX_WORK
-    with pytest.raises(ExtractionError, match=f"extraction work [0-9]+ above {MAX_WORK}"):
+    assert _blocks(f, 10**5, WIDEST)[1] * 64 <= MAX_WORK
+    with pytest.raises(FormulaError, match=f"series work [0-9]+ above {MAX_WORK}"):
         extract(ExtractRequest(f, MAX_BIT_POS, MAX_HEX_DIGITS, MAX_GUARD_HEX))

@@ -377,7 +377,7 @@ def test_scaled_sum_is_within_its_groups_of_the_exact_floor(p, pos, work, start,
 @settings(max_examples=60, deadline=None)
 @given(_sum_formula, _positions, st.integers(8, 128))
 def test_blocks_leave_a_tail_below_one_ulp(p, pos, work):
-    blocks = _blocks(p, pos, work)
+    blocks = _blocks(p, pos, work)[0]
     tail = abs(_exact_scaled(p, pos, work, blocks, blocks + 20))
     rest = (abs(p.pre) * sum(abs(a) for a in p.coeffs)
             * Fraction(2) ** (pos + work + 1 - p.base_exp * (blocks + 20)))
