@@ -11,8 +11,11 @@ across threads.
 Rounding is truncation toward zero throughout, with the truncation charged to
 the error bound.  Rescaling to fewer fraction bits is a shift, never a
 division by a power of two; a rational scale factor divides by its
-denominator alone.  ``precision_cache`` memoizes a function of a key and a
-precision, serving lower precisions from the highest one computed.
+denominator alone.  A certified value asked for at ``prec_bits`` comes back
+at exactly ``prec_bits + GUARD_BITS`` fraction bits, and a nested call
+passes its own ``prec_bits`` down, so guards never stack.  ``precision_cache``
+memoizes a function of a key and a precision under that contract, serving
+lower precisions from the highest one computed.
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ __all__ = [
     "truncated_decimal",
     "precision_cache",
     "CACHE_KEYS",
+    "GUARD_BITS",
 ]
 
 
@@ -264,6 +268,7 @@ def _shifted(m: int, shift: int, out_bits: int, err: int) -> FixReal:
     return _build(FixReal, (-q if m < 0 else q, out_bits, -((-err) >> shift) + inexact))
 
 
+GUARD_BITS = 64  # fraction bits every certified value carries past the precision asked for
 CACHE_KEYS = 256  # keys each precision_cache keeps; the least recently used goes first
 
 
@@ -275,17 +280,17 @@ class CacheInfo(NamedTuple):
 def precision_cache(check: Callable[[Hashable, int], None] | None = None):
     """Decorate ``fn(key, prec_bits) -> FixReal`` with one cache entry per key.
 
-    The entry holds the value at the highest precision computed so far.  A
-    request at or below it is served by ``rescale`` to the fraction bits a
-    fresh call returns (fn must return ``prec_bits`` plus a key-dependent
-    number of guard bits), which charges the truncation to the error bound; a
-    higher request computes and replaces the entry.  ``check(key, prec_bits)``
-    runs before every lookup.  Exceptions are not cached, an entry is never
-    replaced by a lower precision, and ``cache_info()`` returns a snapshot of
-    the hit and miss counts.
+    fn must return exactly ``prec_bits + GUARD_BITS`` fraction bits, or the
+    call raises ArithmeticError.  The entry holds the value at the highest
+    precision computed so far.  A request at or below it is served by
+    ``rescale`` to ``prec_bits + GUARD_BITS``, which charges the truncation to
+    the error bound; a higher request computes and replaces the entry.
+    ``check(key, prec_bits)`` runs before every lookup.  Exceptions are not
+    cached, an entry is never replaced by a lower precision, and
+    ``cache_info()`` returns a snapshot of the hit and miss counts.
     """
     def decorate(fn: Callable[[Hashable, int], FixReal]) -> Callable[[Hashable, int], FixReal]:
-        table: OrderedDict[Hashable, tuple[int, FixReal]] = OrderedDict()
+        table: OrderedDict[Hashable, FixReal] = OrderedDict()
         lock = threading.Lock()
         counts = [0, 0]  # hits, misses
 
@@ -293,19 +298,22 @@ def precision_cache(check: Callable[[Hashable, int], None] | None = None):
         def cached(key: Hashable, prec_bits: int) -> FixReal:
             if check is not None:
                 check(key, prec_bits)
+            bits = prec_bits + GUARD_BITS
             with lock:
                 entry = table.get(key)
-                if entry is not None and entry[0] >= prec_bits:
+                if entry is not None and entry.frac_bits >= bits:
                     table.move_to_end(key)
                     counts[0] += 1
-                    stored, value = entry
-                    return value.rescale(value.frac_bits - stored + prec_bits)
+                    return entry.rescale(bits)
                 counts[1] += 1
             value = fn(key, prec_bits)
+            if value.frac_bits != bits:
+                raise ArithmeticError(f"{fn.__name__} returned {value.frac_bits} fraction bits "
+                                      f"at prec_bits {prec_bits}, not {bits}")
             with lock:
                 entry = table.get(key)
-                if entry is None or entry[0] < prec_bits:
-                    table[key] = (prec_bits, value)
+                if entry is None or entry.frac_bits < bits:
+                    table[key] = value
                     table.move_to_end(key)
                     if len(table) > CACHE_KEYS:
                         table.popitem(last=False)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from typing import Iterable, NamedTuple, Union
 
-from .bigmath import CACHE_KEYS, FixReal, precision_cache
+from .bigmath import CACHE_KEYS, GUARD_BITS, FixReal, precision_cache
 from .generator import LiPoint, generate, period, scan_li_point
 from .pformula import (ParseError, PFormula, PHeader, Scanner, combine, evaluate, rebase,
                        scan_p, scan_rational, stretch)
@@ -174,21 +174,18 @@ def parse_expr(text: str) -> LinearExpr:
 
 @precision_cache()
 def evaluate_expr(expr: LinearExpr, prec_bits: int) -> FixReal:
-    """Certified value of the expression at prec_bits + 32 fraction bits."""
-    work = prec_bits + 32
+    """Certified value of the expression: each term at prec_bits, times its coefficient."""
+    work = prec_bits + GUARD_BITS
     total = FixReal.zero(work)
+    # built per call, so a wrapper later bound over one of these module names is called
+    term_value = {PFormula: evaluate, LiPoint: li_point_value, ConstMonomial: const_value}
     for coeff, term in expr.terms:
         if coeff == 0:
             continue
-        if isinstance(term, PFormula):
-            value = evaluate(term, work)
-        elif isinstance(term, LiPoint):
-            value = li_point_value(term, work)
-        elif isinstance(term, ConstMonomial):
-            value = const_value(term, work)
-        else:
+        value_of = term_value.get(type(term))
+        if value_of is None:
             raise CatalogError(f"unknown term type {type(term).__name__}")
-        total = total + value.scale_rat(coeff, work)
+        total = total + value_of(term, prec_bits).scale_rat(coeff, work)
     return total
 
 

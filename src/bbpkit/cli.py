@@ -71,7 +71,7 @@ def _resolve_bits(args: argparse.Namespace, default_digits: int = 200) -> tuple[
     if args.bits is not None:
         if not 1 <= args.bits <= MAX_BITS:
             raise ValueError(f"--bits must be 1 to {MAX_BITS}")
-        digits = max(args.bits * 3 // 10, 16)
+        digits = min(max(args.bits * 3 // 10, 16), MAX_DIGITS)
         return max(args.bits, bits_for_digits(digits)), digits
     digits = args.digits if args.digits is not None else default_digits
     if not 16 <= digits <= MAX_DIGITS:

@@ -220,7 +220,7 @@ def digit_window(formula: PFormula, bit_pos: int, count: int, prec_bits: int) ->
     if prec_bits < bit_pos + 4 * count + 64:
         raise FormulaError("insufficient precision for the requested window")
     value = evaluate(formula, prec_bits)
-    # the 64-bit evaluation guard must dominate the certified error by a wide margin
+    # the GUARD_BITS evaluation guard must dominate the certified error by a wide margin
     slack = value.frac_bits - (bit_pos + 4 * count)
     if value.err_ulp >> max(slack - 8, 0):
         raise FormulaError("evaluation error too large for the requested window")

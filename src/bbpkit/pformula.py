@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import lcm, log2
 from typing import Iterator, NamedTuple, Sequence
 
-from .bigmath import FixReal, fix_sqrt_int, precision_cache, primitive
+from .bigmath import GUARD_BITS, FixReal, fix_sqrt_int, precision_cache, primitive
 
 __all__ = [
     "PFormula",
@@ -57,7 +57,6 @@ __all__ = [
     "zero_formula",
 ]
 
-EVAL_GUARD_BITS = 64
 GROUP_BITS = 384  # a group of terms closes once its modulus is this wide
 POW_MIN_EXP = 8 * GROUP_BITS  # below this 2^e, one shift and division beat pow(2, e, m)
 MAX_DEGREE = 64  # largest series degree s; the catalog uses 5
@@ -500,13 +499,13 @@ def evaluate(p: PFormula, prec_bits: int) -> FixReal:
     """Certified fixed-point value of the formula: the position-0 sum of
     ``_scaled_sum``.
 
-    Works at prec_bits + 64 guard bits and sums base blocks until the tail,
+    Works at prec_bits + GUARD_BITS and sums base blocks until the tail,
     bounded through the coefficient magnitude sum, drops below one working
     ulp.  Each group of ``_groups`` is floored once and charges one ulp to the
     certified error bound; the dropped tail charges one more.  Raises
     FormulaError below 8 bits, and before the sum when ``_blocks`` refuses it.
     """
-    work = prec_bits + EVAL_GUARD_BITS
+    work = prec_bits + GUARD_BITS
     if p.is_zero():
         return FixReal(0, work, 0)
     acc, groups = _scaled_sum(p, 0, work, 0, _blocks(p, 0, work)[0])

@@ -9,12 +9,12 @@ the cached bases.  A polylogarithm point is the one exception: its value is
 the certified sum of its ``generator.part_formulas``, so it is checked
 against the base constants, not against itself.
 
-All routines return certified FixReal values; precision is always an
-explicit bit count.  ``constant``, ``const_value`` and ``li_point_value``
-keep each value at the highest precision computed and serve lower
-precisions from it (``bigmath.precision_cache``).  The cache table sits
-behind a lock, and the Bernoulli table grows by tangent-number columns under
-its own lock, so concurrent callers are safe.
+All routines return certified FixReal values at ``bigmath.GUARD_BITS``
+fraction bits past an explicit bit count.  ``constant``, ``const_value`` and
+``li_point_value`` keep each value at the highest precision computed and
+serve lower precisions from it (``bigmath.precision_cache``).  The cache
+table sits behind a lock, and the Bernoulli table grows by tangent-number
+columns under its own lock, so concurrent callers are safe.
 """
 from __future__ import annotations
 
@@ -24,9 +24,9 @@ from fractions import Fraction
 from math import comb
 from typing import Callable
 
-from .bigmath import FixReal, ceil_div, fix_sqrt_int, precision_cache, tdiv
+from .bigmath import GUARD_BITS, FixReal, ceil_div, fix_sqrt_int, precision_cache, tdiv
 from .generator import LiPoint, part_formulas, period
-from .pformula import EVAL_GUARD_BITS, evaluate
+from .pformula import evaluate
 
 __all__ = [
     "ConstMonomial",
@@ -39,8 +39,6 @@ __all__ = [
     "li_point_value",
     "pi_machin",
 ]
-
-_GUARD = 64
 
 # atom name -> its spelling in expressions
 ATOMS = {"one": "1", "zeta3": "zeta3", "zeta5": "zeta5", "catalan": "G", "cl2_pi3": "Cl2pi3",
@@ -111,7 +109,7 @@ def hurwitz_zeta(s: int, a: Fraction, prec_bits: int) -> FixReal:
     a = Fraction(a)
     if not 0 < a <= 1:
         raise ValueError("offset must lie in (0, 1]")
-    work = prec_bits + _GUARD
+    work = prec_bits + GUARD_BITS
     u, v = a.numerator, a.denominator
     # head length: each head term is one division by a small integer, and past
     # it the correction terms pass one working ulp after about work/14 of them
@@ -164,7 +162,7 @@ def alt_sum(f: Callable[[int], Fraction], prec_bits: int) -> FixReal:
     Chebyshev-weight acceleration: about 1.31 terms per decimal digit, with
     the certified method error charged through the (3+sqrt(8))^(-n) bound.
     """
-    work = prec_bits + _GUARD
+    work = prec_bits + GUARD_BITS
     n = (work + 6) * 10000 // 25431 + 3  # log2(3+sqrt8) = 2.5431...
 
     d_prev, d = 1, 3  # ((3+sqrt8)^k + (3-sqrt8)^k) / 2
@@ -209,7 +207,7 @@ def _atan_inv(m: int, work: int) -> tuple[int, int]:
 
 def pi_machin(bits: int) -> FixReal:
     """pi = 16 atan(1/5) - 4 atan(1/239)."""
-    work = bits + 32
+    work = bits + GUARD_BITS
     a5, e5 = _atan_inv(5, work)
     a239, e239 = _atan_inv(239, work)
     return FixReal(16 * a5 - 4 * a239, work, 16 * e5 + 4 * e239)
@@ -217,7 +215,7 @@ def pi_machin(bits: int) -> FixReal:
 
 def _log2_series(bits: int) -> FixReal:
     # log 2 = sum_{k>=1} 1 / (k * 2^k)
-    work = bits + 32
+    work = bits + GUARD_BITS
     acc = 0
     for k in range(1, work + 1):
         acc += (1 << (work - k)) // k
@@ -226,21 +224,21 @@ def _log2_series(bits: int) -> FixReal:
 
 def _zeta_odd(s: int, bits: int) -> FixReal:
     # zeta(s) = eta(s) / (1 - 2^(1-s)) with eta from the accelerated sum
-    eta = alt_sum(lambda k: Fraction(1, (k + 1) ** s), bits + 8)
+    eta = alt_sum(lambda k: Fraction(1, (k + 1) ** s), bits)
     scale = Fraction(1 << (s - 1), (1 << (s - 1)) - 1)
-    return eta.scale_rat(scale, bits + 32)
+    return eta.scale_rat(scale, bits + GUARD_BITS)
 
 
 def _beta_even(s: int, bits: int) -> FixReal:
     # beta(s) = sum (-1)^k / (2k+1)^s
-    return alt_sum(lambda k: Fraction(1, (2 * k + 1) ** s), bits + 8)
+    return alt_sum(lambda k: Fraction(1, (2 * k + 1) ** s), bits)
 
 
 def _cl2_pi3(bits: int) -> FixReal:
     # grouping sin(k*pi/3) by k mod 6:
     # Cl2(pi/3) = sqrt(3)/2 * sum (-1)^j [1/(3j+1)^2 + 1/(3j+2)^2]
-    work = bits + 32
-    z = alt_sum(lambda j: Fraction(1, (3 * j + 1) ** 2) + Fraction(1, (3 * j + 2) ** 2), bits + 8)
+    work = bits + GUARD_BITS
+    z = alt_sum(lambda j: Fraction(1, (3 * j + 1) ** 2) + Fraction(1, (3 * j + 2) ** 2), bits)
     return z.mul(fix_sqrt_int(3, work), work).scale_rat(Fraction(1, 2), work)
 
 
@@ -257,7 +255,7 @@ _BUILDERS: dict[str, Callable[[int], FixReal]] = {
 
 @precision_cache()
 def constant(name: str, prec_bits: int) -> FixReal:
-    """Base constant with at least prec_bits fraction bits."""
+    """Base constant at prec_bits."""
     if name not in _BUILDERS:
         raise ValueError(f"unknown constant {name!r}")
     return _BUILDERS[name](prec_bits)
@@ -265,17 +263,14 @@ def constant(name: str, prec_bits: int) -> FixReal:
 
 @precision_cache()
 def const_value(mono: ConstMonomial, prec_bits: int) -> FixReal:
-    """Certified value of a constant monomial at prec_bits + 48 fraction bits."""
-    work = prec_bits + 48
+    """Certified value of a constant monomial."""
+    work = prec_bits + GUARD_BITS
     names = ["pi"] * mono.pi_pow + ["log2"] * mono.log2_pow
     if mono.atom != "one":
         names.append(mono.atom)
-    if not names:
-        return FixReal.from_int(1, work)
-    # the first factor at work bits is what multiplying 1 by it would give
-    result = constant(names[0], work).rescale(work)
-    for name in names[1:]:
-        result = result.mul(constant(name, work), work)
+    result = FixReal.from_int(1, work)
+    for name in names:
+        result = result.mul(constant(name, prec_bits), work)
     return result
 
 
@@ -286,8 +281,8 @@ def const_value(mono: ConstMonomial, prec_bits: int) -> FixReal:
 @precision_cache()
 def li_point_value(pt: LiPoint, prec_bits: int) -> FixReal:
     """Certified value of the point: sqrt(root) * evaluate(formula) summed over
-    part_formulas for one period, at prec_bits + EVAL_GUARD_BITS."""
-    work = prec_bits + EVAL_GUARD_BITS
+    part_formulas for one period."""
+    work = prec_bits + GUARD_BITS
     total = FixReal.zero(work)
     for root, p in part_formulas(pt, period(pt)):
         v = evaluate(p, prec_bits)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bbpkit import catalog
+from bbpkit.bigmath import GUARD_BITS
 from bbpkit.catalog import (
     MAX_CATALOG_BYTES,
     CatalogError,
@@ -18,8 +19,7 @@ from bbpkit.catalog import (
 )
 from bbpkit.cli import MAX_BITS
 from bbpkit.generator import LiPoint, generate, part_formulas, period
-from bbpkit.pformula import (EVAL_GUARD_BITS, PFormula, PHeader, _blocks, canonicalize, combine,
-                             rebase, stretch)
+from bbpkit.pformula import PFormula, PHeader, _blocks, canonicalize, combine, rebase, stretch
 from bbpkit.reference import ConstMonomial
 
 
@@ -261,11 +261,26 @@ def test_verify_structurally_equal_sides():
     assert rep.passed and rep.residual.mantissa == 0
 
 
+def test_evaluate_expr_refuses_an_unknown_term_type():
+    with pytest.raises(CatalogError, match="unknown term type str"):
+        catalog.evaluate_expr.__wrapped__(LinearExpr(((Fraction(1), "pi"),)), 100)
+
+
+def test_evaluate_expr_calls_the_term_functions_bound_in_its_module(monkeypatch):
+    # a wrapper bound over catalog.const_value after import (as a tracer binds one) sees the call
+    seen = []
+    const_value = catalog.const_value
+    monkeypatch.setattr(catalog, "const_value", lambda m, bits: seen.append(m) or const_value(m, bits))
+    catalog.evaluate_expr.__wrapped__(parse_expr("2 * pi"), 100)
+    assert seen == [ConstMonomial(1)]
+
+
 def test_work_budget_admits_every_catalog_term_at_the_largest_precision():
     # the budget check alone, which raises past MAX_WORK: these sums take minutes.
     # The widest `eval`, `verify` or `pslq` sums each formula term, and each part
-    # of each point, at MAX_BITS + 32 (evaluate_expr) + EVAL_GUARD_BITS (evaluate).
-    work = MAX_BITS + 32 + EVAL_GUARD_BITS
+    # of each point, at MAX_BITS + GUARD_BITS; MAX_BITS + 96 leaves a margin past that.
+    work = MAX_BITS + 96
+    assert work > MAX_BITS + GUARD_BITS
     checked = 0
     for record in default_catalog():
         for _, term in record.lhs.terms + record.rhs.terms:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -260,6 +261,23 @@ def test_precision_limits_exit_code(capsys):
         code, out, err = run(capsys, "eval", "1 * pi", flag, str(value))
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and str(limit) in err
+
+
+@pytest.mark.parametrize("bits", [1, 119, MAX_BITS - 1, MAX_BITS])
+def test_resolved_bits_stay_within_both_limits(bits):
+    resolved, digits = bbpkit.cli._resolve_bits(argparse.Namespace(bits=bits, digits=None))
+    assert bits <= resolved <= MAX_BITS
+    assert 16 <= digits <= MAX_DIGITS
+
+
+def test_rational_at_the_largest_bits_prints_the_largest_digits():
+    # in a child: a rational prints at once, 3 * MAX_BITS / 10 digits clamped to MAX_DIGITS
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bbpkit.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bbpkit.cli", "eval", "1/3", "--bits", str(MAX_BITS)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == "0." + "3" * MAX_DIGITS + "\n"
 
 
 def test_unreadable_catalog_exit_code(tmp_path, capsys):

@@ -16,10 +16,11 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bbpkit.bigmath import GUARD_BITS
 from bbpkit.catalog import bits_for_digits, default_catalog, derive_bbp, evaluate_expr
 from bbpkit.cli import main
 from bbpkit.generator import _TRIG, LiPoint
-from bbpkit.pformula import EVAL_GUARD_BITS, PFormula, evaluate
+from bbpkit.pformula import PFormula, evaluate
 from bbpkit.reference import bernoulli, constant, hurwitz_zeta, li_point_value
 from mp_oracle import context, expr_value, formula_value, polylog_part, within
 
@@ -44,7 +45,7 @@ def test_evaluate_agrees_with_mpmath(p, precisions):
     ref = formula_value(p, ctx)
     for bits in precisions:
         v = evaluate(p, bits)
-        assert v.frac_bits == bits + EVAL_GUARD_BITS
+        assert v.frac_bits == bits + GUARD_BITS
         assert within(v, ctx, ref), (p, bits)
 
 

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from bbpkit.bigmath import CACHE_KEYS, FixReal, precision_cache
+from bbpkit.bigmath import CACHE_KEYS, GUARD_BITS, FixReal, precision_cache
 from bbpkit.catalog import default_catalog, evaluate_expr, parse_expr
 from bbpkit.generator import LiPoint
 from bbpkit.pformula import FormulaError, parse_p, evaluate
@@ -28,6 +28,42 @@ def test_cache_info_counts_a_hit_and_a_miss():
     after = evaluate.cache_info()
     assert (mid.hits - before.hits, mid.misses - before.misses) == (0, 1)
     assert (after.hits - mid.hits, after.misses - mid.misses) == (1, 0)
+
+
+CONSTANTS = ("pi", "log2", "zeta3", "zeta5", "catalan", "cl4_pi2", "cl2_pi3")
+
+
+@pytest.mark.parametrize("fn,key", [
+    (evaluate, parse_p("-3 * P(2, 2^3, 3, [4, 0, -9])")),
+    (evaluate, parse_p("1/5 * sqrt3 * P(2, 2^1, 1, [1])")),
+    (li_point_value, LiPoint(2, 2, 1, 4, "re")),
+    (li_point_value, LiPoint(3, 2, 3, 4, "im")),
+    *((constant, name) for name in CONSTANTS),
+    (const_value, ConstMonomial()),
+    (const_value, ConstMonomial(0, 0, "cl2_pi3")),
+    (const_value, ConstMonomial(2, 1, "zeta3")),
+    (evaluate_expr, parse_expr("5/3")),
+    (evaluate_expr, parse_expr("3 * G + -1/2 * P(2, 2^3, 2, [1, -1]) + 7 * ReLi(2, 2, 1/2)")),
+])
+def test_every_cached_value_carries_exactly_the_guard_bits(fn, key):
+    # fresh and from a hit, the one contract: prec_bits + GUARD_BITS fraction bits
+    assert fn.__wrapped__(key, 300).frac_bits == 300 + GUARD_BITS
+    fn(key, 700)
+    before = fn.cache_info()
+    assert fn(key, 300).frac_bits == 300 + GUARD_BITS
+    assert fn.cache_info().hits == before.hits + 1
+
+
+@pytest.mark.parametrize("width", [0, GUARD_BITS - 1, GUARD_BITS + 1])
+def test_a_value_of_another_width_raises_and_is_not_cached(width):
+    @precision_cache()
+    def value(key, prec_bits):
+        return FixReal.from_int(key, prec_bits + width)
+
+    for _ in range(2):
+        with pytest.raises(ArithmeticError):
+            value(1, 16)
+    assert value.cache_info() == (0, 2)
 
 
 @pytest.mark.parametrize("fn,key", [
@@ -92,7 +128,7 @@ def test_oldest_key_is_evicted_first():
     @precision_cache()
     def value(key, prec_bits):
         computed.append(key)
-        return FixReal.from_int(key, prec_bits)
+        return FixReal.from_int(key, prec_bits + GUARD_BITS)
 
     for key in range(CACHE_KEYS + 1):
         value(key, 16)
@@ -112,7 +148,7 @@ def test_a_late_lower_precision_result_keeps_the_higher_entry():
         if prec_bits == 100:  # the slow call: missed, still computing
             entered.set()
             release.wait(timeout=10)
-        return FixReal.from_int(key, prec_bits)
+        return FixReal.from_int(key, prec_bits + GUARD_BITS)
 
     slow = threading.Thread(target=value, args=(7, 100))
     slow.start()

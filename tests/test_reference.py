@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bbpkit import reference
-from bbpkit.bigmath import FixReal, fix_sqrt_int
+from bbpkit.bigmath import GUARD_BITS, FixReal, fix_sqrt_int
 from bbpkit.generator import LiPoint
 from bbpkit.reference import (
     ConstMonomial,
@@ -19,7 +19,6 @@ from bbpkit.reference import (
     pi_machin,
     _atan_inv,
 )
-from bbpkit.pformula import EVAL_GUARD_BITS
 from mp_oracle import context, polylog_part, within
 
 # 60 significant digits each, frozen from an independent multiprecision source
@@ -273,7 +272,7 @@ def test_li_point_charges_each_part_its_root(pt):
     ref = polylog_part(pt, ctx)
     li_point_value(pt, 2 * bits)
     for v in (li_point_value.__wrapped__(pt, bits), li_point_value(pt, bits)):
-        assert v.frac_bits == bits + EVAL_GUARD_BITS
+        assert v.frac_bits == bits + GUARD_BITS
         assert within(v, ctx, ref), pt
 
 
