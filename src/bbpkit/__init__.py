@@ -8,7 +8,7 @@ PSLQ integer-relation search, and a catalog of classical polylogarithm
 identities with verification and derivation runners.
 """
 
-from .bigmath import FixReal, powmod
+from .bigmath import FixReal
 from .pformula import PFormula, PHeader, parse_p, serialize_p, canonicalize, stretch, rebase, align, combine, evaluate
 from .generator import LiPoint, period, generate
 from . import reference
@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FixReal",
-    "powmod",
     "PFormula",
     "PHeader",
     "parse_p",

@@ -8,14 +8,16 @@ grow, it never understates) and builds exactly one result.  All values are
 immutable and all operations pure, so everything here can be shared freely
 across threads.
 
-Rounding is truncation toward zero throughout, with the truncation charged to
-the error bound.  Rescaling to fewer fraction bits is a shift, never a
-division by a power of two; a rational scale factor divides by its
-denominator alone.  A certified value asked for at ``prec_bits`` comes back
-at exactly ``prec_bits + GUARD_BITS`` fraction bits, and a nested call
-passes its own ``prec_bits`` down, so guards never stack.  ``precision_cache``
-memoizes a function of a key and a precision under that contract, serving
-lower precisions from the highest one computed.
+Rounding is one rule with one owner, the private ``_truncated``: truncate
+toward zero, round the error bound up, and add one ulp when any bit was
+dropped.  ``mul``, ``scale_rat``, ``rescale`` and ``from_fraction`` each reach
+their result through it; it alone refuses a negative width, and it shifts by
+powers of two and divides by a rational's denominator alone.  A certified
+value asked for at ``prec_bits`` comes back at exactly ``prec_bits +
+GUARD_BITS`` fraction bits, and a nested call passes its own ``prec_bits``
+down, so guards never stack.  ``precision_cache`` memoizes a function of a
+key and a precision under that contract, serving lower precisions from the
+highest one computed.
 """
 from __future__ import annotations
 
@@ -136,8 +138,7 @@ class FixReal(_Fields):
 
     @classmethod
     def from_fraction(cls, value: Fraction, frac_bits: int) -> "FixReal":
-        q, r = divmod(abs(value.numerator) << frac_bits, value.denominator)
-        return cls(-q if value.numerator < 0 else q, frac_bits, 1 if r else 0)
+        return _truncated(value.numerator, -frac_bits, frac_bits, 0, value.denominator)
 
     @classmethod
     def zero(cls, frac_bits: int = 0) -> "FixReal":
@@ -153,8 +154,8 @@ class FixReal(_Fields):
 
     # -- arithmetic ----------------------------------------------------
     #
-    # Every result is truncated toward zero, its error bound rounded up, and
-    # one ulp is added when the truncation dropped a nonzero remainder.
+    # Addition, subtraction, negation and abs are exact; every step that can
+    # drop bits goes through ``_truncated``.
 
     def __neg__(self) -> "FixReal":
         m, f, e = self
@@ -180,47 +181,21 @@ class FixReal(_Fields):
 
     def mul(self, other: "FixReal", out_bits: int) -> "FixReal":
         """Product truncated toward zero at ``out_bits`` fractional bits."""
-        if out_bits < 1:
-            raise ValueError("out_bits must be at least 1")
         m, f, e = self
         m2, f2, e2 = other
         err = abs(m) * e2 + abs(m2) * e + e * e2
-        return _shifted(m * m2, f + f2 - out_bits, out_bits, err)
+        return _truncated(m * m2, f + f2 - out_bits, out_bits, err)
 
     def scale_rat(self, ratio: Fraction, out_bits: int) -> "FixReal":
-        """Multiply by an exact rational, truncating toward zero at ``out_bits``.
-
-        The product is shifted to ``out_bits`` first, keeping the bits the
-        shift drops for the exactness test, and then divided by the ratio's
-        denominator alone: floor(floor(x / 2^s) / q) = floor(x / (q * 2^s)).
-        """
-        if out_bits < 0:
-            raise ValueError("frac_bits must be non-negative")
+        """Multiply by an exact rational, truncating toward zero at ``out_bits``."""
         m, f, e = self
-        num, den = ratio.numerator, ratio.denominator
-        prod = m * num
-        a, err = abs(prod), e * abs(num)
-        shift = f - out_bits
-        if shift > 0:
-            dropped = a & ((1 << shift) - 1)
-            a >>= shift
-            err = -((-err) >> shift)
-        else:
-            dropped = 0
-            a <<= -shift
-            err <<= -shift
-        if den != 1:
-            a, r = divmod(a, den)
-            dropped = dropped or r
-            err = -((-err) // den)
-        return _build(FixReal, (-a if prod < 0 else a, out_bits, err + (1 if dropped else 0)))
+        num = ratio.numerator
+        return _truncated(m * num, f - out_bits, out_bits, e * abs(num), ratio.denominator)
 
     def rescale(self, out_bits: int) -> "FixReal":
         """The value at ``out_bits`` fractional bits, by shifts only."""
-        if out_bits < 0:
-            raise ValueError("frac_bits must be non-negative")
         m, f, e = self
-        return self if f == out_bits else _shifted(m, f - out_bits, out_bits, e)
+        return self if f == out_bits else _truncated(m, f - out_bits, out_bits, e)
 
     def __abs__(self) -> "FixReal":
         m, f, e = self
@@ -254,18 +229,32 @@ class FixReal(_Fields):
         return lo if lo == hi else None
 
 
-def _shifted(m: int, shift: int, out_bits: int, err: int) -> FixReal:
-    """m * 2^-(out_bits + shift) with error err, as one FixReal at out_bits.
+def _truncated(m: int, shift: int, out_bits: int, err: int, den: int = 1) -> FixReal:
+    """m / (den * 2^(out_bits + shift)), with error err in units of
+    2^-(out_bits + shift), as one FixReal at out_bits: the one rounding rule.
 
-    A right shift truncates |m| toward zero, tests exactness with a mask and
-    rounds the error up with -((-err) >> shift).
+    |m| is shifted to out_bits first, keeping the bits a right shift drops
+    for the exactness test, and then divided by den alone:
+    floor(floor(x / 2^s) / q) = floor(x / (q * 2^s)).  The result takes m's
+    sign, its error is rounded up, and one ulp is added when any bit or
+    remainder was dropped.
     """
-    if shift <= 0:
-        return _build(FixReal, (m << -shift, out_bits, err << -shift))
+    if out_bits < 0:
+        raise ValueError("out_bits must be non-negative")
     a = abs(m)
-    q = a >> shift
-    inexact = 1 if a & ((1 << shift) - 1) else 0
-    return _build(FixReal, (-q if m < 0 else q, out_bits, -((-err) >> shift) + inexact))
+    if shift > 0:
+        dropped = a & ((1 << shift) - 1)
+        a >>= shift
+        err = -((-err) >> shift)
+    else:
+        dropped = 0
+        a <<= -shift
+        err <<= -shift
+    if den != 1:
+        a, r = divmod(a, den)
+        dropped = dropped or r
+        err = -((-err) // den)
+    return _build(FixReal, (-a if m < 0 else a, out_bits, err + (1 if dropped else 0)))
 
 
 GUARD_BITS = 64  # fraction bits every certified value carries past the precision asked for

@@ -236,7 +236,7 @@ _ratios = st.builds(
 
 
 def _out_bits(draw, frac_bits: int) -> int:
-    return max(1, frac_bits + draw(st.integers(-600, 600)))
+    return max(0, frac_bits + draw(st.integers(-600, 600)))
 
 
 def _triple(x: FixReal) -> tuple[int, int, int]:
@@ -279,6 +279,17 @@ def test_fixreal_ops_match_the_exact_rule(data):
     got = FixReal.from_fraction(ratio, out)
     assert _triple(got) == _rule(ratio, Fraction(0), out)
     assert _certifies(got, ratio)
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: x.mul(x, -1),
+    lambda x: x.scale_rat(Fraction(3, 5), -1),
+    lambda x: x.rescale(-1),
+    lambda x: FixReal.from_fraction(Fraction(3, 5), -1),
+], ids=["mul", "scale_rat", "rescale", "from_fraction"])
+def test_every_rounding_op_refuses_a_negative_width(op):
+    with pytest.raises(ValueError, match="out_bits must be non-negative"):
+        op(FixReal(-12345, 7, 3))
 
 
 @settings(max_examples=60, deadline=None)

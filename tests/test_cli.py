@@ -14,7 +14,8 @@ import bbpkit.cli
 from bbpkit.catalog import (MAX_CATALOG_BYTES, MAX_MONOMIAL_POWER, bits_for_digits,
                             default_catalog, verify)
 from bbpkit.cli import MAX_BITS, MAX_DIGITS, format_bound, main
-from bbpkit.pformula import MAX_DEGREE, MAX_WORK
+from bbpkit.extractor import digit_window
+from bbpkit.pformula import MAX_DEGREE, MAX_WORK, parse_p
 from bbpkit.relations import check_work
 
 
@@ -110,6 +111,34 @@ def test_pslq_subcommand(capsys):
     assert out.startswith("RELATION [2, -1]") or out.startswith("RELATION [-2, 1]")
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("1 * pi; 1 * log2", "--max-norm", "100"),
+     "NONE excluded up to coefficient norm 317 (3 iterations)"),
+    (("1 * pi; 0 * pi",), "INCONCLUSIVE an input value is indistinguishable from zero"),
+], ids=["none", "inconclusive"])
+def test_pslq_without_a_relation_exits_1(capsys, argv, line):
+    code, out, err = run(capsys, "pslq", "--digits", "30", "--values", *argv)
+    assert (code, out, err) == (1, line + "\n", "")
+
+
+def test_digits_json_lines(capsys):
+    code, out, _ = run(capsys, "digits", "--formula", "P(1, 2^1, 1, [1])", "--pos", "100",
+                       "--count", "8", "--format", "json-lines")
+    assert code == 0
+    [line] = out.splitlines()
+    doc = json.loads(line)
+    assert set(doc) == {"pos", "digits", "confidence_bits"} and doc["pos"] == 100
+    assert doc["digits"] == digit_window(parse_p("P(1, 2^1, 1, [1])"), 100, 8, 256)
+
+
+def test_catalog_list_json_lines(capsys):
+    code, out, _ = run(capsys, "catalog", "list", "--format", "json-lines")
+    assert code == 0
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert all({"id", "kind", "lhs"} <= set(doc) for doc in docs)
+    assert sorted(doc["id"] for doc in docs) == sorted(r.id for r in default_catalog())
+
+
 def test_catalog_list(capsys):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0
@@ -128,6 +157,7 @@ def test_usage_error_exit_code(capsys):
     ("eval",),
     ("digits", "--pos", "0", "--count", "8"),
     ("combine", "--terms", "1 * pi"),
+    ("combine", "--terms", "1 * P(1, 2^1, 1, [1]) + 1 * sqrt3 * P(1, 2^1, 1, [1])"),
     ("pslq", "--values", "1 * pi"),
 ])
 def test_usage_error_is_one_line(capsys, argv):

@@ -276,6 +276,21 @@ def test_combine_degree_mismatch():
                  (Fraction(1), parse_p("P(3, 2^4, 2, [1, 1])"))])
 
 
+_ONE = parse_p("P(1, 2^1, 1, [1])")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: combine([]), "empty combination"),
+    (lambda: combine([(Fraction(1), _ONE), (Fraction(1), PFormula(1, 1, 1, (1,), Fraction(1), True))]),
+     "cannot combine sqrt\\(3\\)-carrying and plain formulas"),
+    (lambda: stretch(_ONE, 0), "stretch factor must be positive"),
+    (lambda: rebase(_ONE, 0), "rebase factor must be positive"),
+], ids=["empty-combine", "mixed-root3-combine", "stretch-by-0", "rebase-by-0"])
+def test_transform_refusals(call, message):
+    with pytest.raises(FormulaError, match=f"^{message}$"):
+        call()
+
+
 _small_formula = st.builds(
     lambda s, b, coeffs, num, den: PFormula(
         s, b, len(coeffs), tuple(coeffs), Fraction(num, den)
