@@ -2,13 +2,15 @@
 combination, catalog verification and integer-relation search.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 usage error.  Hex output is uppercase without a 0x prefix; all output is
-line-oriented and deterministic for fixed inputs.
+2 usage error, 141 the reader closed the pipe.  Hex output is uppercase
+without a 0x prefix; all output is line-oriented and deterministic for fixed
+inputs.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -273,10 +275,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's final flush
+        return code
     except ValueError as exc:
         print(f"bbp: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed the pipe: stdout goes to devnull so no later flush raises again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, what a shell shows for a tool SIGPIPE ends
 
 
 if __name__ == "__main__":

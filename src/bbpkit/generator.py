@@ -3,26 +3,25 @@
 A point is the real or imaginary part of Li_s at z = 2^(-q/2) * exp(i*pi*n/d)
 with d in {1, 2, 3, 4}.  Coefficients are derived from first principles: the
 series is folded over one period L of exp(i*x) chosen so that 2^(-q*L/2) is an
-integer power of two, and the exact trigonometric values are carried in the
-field Q(sqrt2, sqrt3).  ``part_formulas`` splits the folded series into one
-rational formula per part (rational, sqrt(2), sqrt(3)); the point's value is
-their sum, each times its root.  ``generate`` requires the sqrt(2) part to
-cancel identically.  Imaginary parts at angle pi/3 retain a common sqrt(3)
+integer power of two.  Every 2*cos or 2*sin value a point reaches is c*sqrt(r),
+c in {0, +-1, +-2} and r in {1, 2, 3}, from a five-entry table, so
+``part_formulas`` builds each part (rational, sqrt(2), sqrt(3)) from integers c
+shifted left over one denominator 2^(B+1), B = q*L/2; the point's value is the
+sum of the parts, each times its root.  ``generate`` requires the sqrt(2) part
+to cancel identically.  Imaginary parts at angle pi/3 retain a common sqrt(3)
 factor, which moves into the prefactor flag and makes the result evaluate-only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
-from typing import NamedTuple
+from math import gcd
 
 from .pformula import (PFormula, Scanner, canonicalize, check_degree, check_table, scan_int,
                        zero_formula)
 
 __all__ = [
     "LiPoint",
-    "TrigValue",
     "PointError",
     "IrrationalCarryError",
     "period",
@@ -42,43 +41,17 @@ class IrrationalCarryError(PointError):
     """A coefficient kept an irrational factor that does not cancel."""
 
 
-class TrigValue(NamedTuple):
-    """Exact rat + root2*sqrt(2) + root3*sqrt(3); at most one part irrational."""
-
-    rat: Fraction
-    root2: Fraction
-    root3: Fraction
+# 2*cos(j*pi/12) as (c, r), meaning c*sqrt(r), for the first-quadrant j a point reaches
+_TWICE_COS = {0: (2, 1), 2: (1, 3), 3: (1, 2), 4: (1, 1), 6: (0, 1)}
 
 
-_ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
-
-# cos(t*pi) on the first quadrant, t in units of pi
-_QUADRANT = {
-    Fraction(0): TrigValue(Fraction(1), _ZERO, _ZERO),
-    Fraction(1, 6): TrigValue(_ZERO, _ZERO, _HALF),
-    Fraction(1, 4): TrigValue(_ZERO, _HALF, _ZERO),
-    Fraction(1, 3): TrigValue(_HALF, _ZERO, _ZERO),
-    Fraction(1, 2): TrigValue(_ZERO, _ZERO, _ZERO),
-}
-
-
-def _cos_pi(t: Fraction) -> TrigValue:
-    """cos(t*pi), folded into the first quadrant by cos(-x) = cos x and cos(pi - x) = -cos x."""
-    t %= 2
-    if t > 1:
-        t = 2 - t
-    if t > _HALF:
-        return TrigValue(*(-v for v in _cos_pi(1 - t)))
-    return _QUADRANT[t]
-
-
-# (d, part) -> cos or sin(m*pi/d) indexed by m mod 2d; sin x = cos(x - pi/2)
-_TRIG: dict[tuple[int, str], list[TrigValue]] = {
-    (d, part): [_cos_pi(Fraction(m, d) - (_HALF if part == "im" else 0)) for m in range(2 * d)]
-    for d in (1, 2, 3, 4)
-    for part in ("re", "im")
-}
+def _twice_cos(j: int) -> tuple[int, int]:
+    """2*cos(j*pi/12) as (c, r), folded by cos(-x) = cos x and cos(pi - x) = -cos x."""
+    j = abs((j + 12) % 24 - 12)
+    if j > 6:
+        c, r = _TWICE_COS[12 - j]
+        return -c, r
+    return _TWICE_COS[j]
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,25 +92,6 @@ class LiPoint:
             # yields sqrt(6) terms with no way to cancel
             if self.ang_den == 3 and self.scale_exp % 2:
                 raise PointError("pi/3 angles need an even scale exponent")
-
-    def terms(self, length: int) -> list[tuple[int, TrigValue]]:
-        """(shift, v) for k = 1..length with 2^(-q*k/2) * trig(k*x) = 2^(-shift) * v.
-
-        trig is cos for the real part and sin for the imaginary part.  An odd
-        q*k writes 2^(-q*k/2) as sqrt(2) * 2^(-(q*k+1)/2), which swaps the
-        rational and sqrt(2) parts; no sqrt(3) value meets an odd q*k, since
-        pi/3 angles need an even scale exponent.
-        """
-        table = _TRIG[self.ang_den, self.part]
-        out = []
-        for k in range(1, length + 1):
-            tv = table[k * self.ang_num % (2 * self.ang_den)]
-            qk = self.scale_exp * k
-            if qk % 2:
-                out.append(((qk + 1) // 2, TrigValue(2 * tv.root2, tv.rat, _ZERO)))
-            else:
-                out.append((qk // 2, tv))
-        return out
 
     def __str__(self) -> str:
         return serialize_li_point(self)
@@ -196,10 +150,13 @@ def period(pt: LiPoint) -> int:
 def part_formulas(pt: LiPoint, length: int) -> list[tuple[int, PFormula]]:
     """(root, formula) for each nonzero part of the point's series, folded over length terms.
 
-    length must be a multiple of period(pt).  pt.terms splits each term into
-    its rational, sqrt(2) and sqrt(3) parts; the parts with root 1, 2 and 3
-    each become one canonical P(s, 2^(q*length/2), length, A), and the point
-    is the sum of sqrt(root) * formula over the list.  A table longer than
+    length must be a multiple of period(pt).  With B = q*length/2, term k is
+    2^(-q*k/2) * trig(k*x) = c * sqrt(r) * 2^(B - q*k/2) / 2^(B+1), where
+    c * sqrt(r) = 2*trig(k*x) comes from _twice_cos; an odd q*k writes
+    2^(-q*k/2) as sqrt(2) * 2^(-(q*k+1)/2), which maps (c, 2) to (2c, 1) and
+    (c, 1) to (c, 2).  The integers c << (B - q*k/2) with root r form one
+    canonical P(s, 2^B, length, A) with prefactor 1/2^(B+1), and the point is
+    the sum of sqrt(root) * formula over the list.  A table longer than
     MAX_TABLE_BITS, its coefficients taken as wide as its base, raises
     PointError before any term is built.
     """
@@ -209,18 +166,19 @@ def part_formulas(pt: LiPoint, length: int) -> list[tuple[int, PFormula]]:
         raise PointError(f"target length {length} is not a multiple of the period {per}")
     base_exp = pt.scale_exp * length // 2
     check_table(length, base_exp, base_exp, PointError)
-    parts: tuple[list[Fraction], ...] = ([], [], [])
-    for shift, v in pt.terms(length):
-        for values, x in zip(parts, v):
-            values.append(x / (1 << shift))
-    out = []
-    for root, values in zip((1, 2, 3), parts):
-        if any(values):
-            den = lcm(*(v.denominator for v in values))
-            coeffs = tuple(int(v * den) for v in values)
-            formula = PFormula(pt.degree, base_exp, length, coeffs, Fraction(1, den))
-            out.append((root, canonicalize(formula)))
-    return out
+    step = 12 * pt.ang_num // pt.ang_den  # k*x in units of pi/12
+    phase = 6 if pt.part == "im" else 0  # sin x = cos(x - pi/2)
+    parts = {1: [0] * length, 2: [0] * length, 3: [0] * length}
+    for k in range(1, length + 1):
+        c, r = _twice_cos(step * k - phase)
+        qk = pt.scale_exp * k
+        if qk % 2:  # only k < length, so qk + 1 <= 2B; pi/3 angles (r = 3) need an even q
+            c, r = (2 * c, 1) if r == 2 else (c, 2)
+            qk += 1
+        parts[r][k - 1] = c << (base_exp - qk // 2)
+    pre = Fraction(1, 1 << (base_exp + 1))
+    return [(root, canonicalize(PFormula(pt.degree, base_exp, length, tuple(coeffs), pre)))
+            for root, coeffs in parts.items() if any(coeffs)]
 
 
 def generate(pt: LiPoint, target_len: int) -> PFormula:

@@ -361,6 +361,21 @@ def test_evaluation_past_the_work_budget_exits_in_a_child(formula, digits):
     assert f"above {MAX_WORK}" in proc.stderr
 
 
+def test_closed_pipe_exits_141_without_a_traceback():
+    # the read end is closed before the child writes, so its first write fails
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bbpkit.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bbpkit.cli", "catalog", "list", "--format", "json-lines"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=write_end, stderr=subprocess.PIPE,
+            text=True, timeout=10)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141 and proc.stderr == ""
+
+
 def test_unknown_formula_id_names_the_id(capsys):
     code, out, err = run(capsys, "eval", "--formula-id", "nope")
     assert code == 2 and out == ""

@@ -1,6 +1,6 @@
-"""Differential tests of evaluate, li_point_value, the exact trigonometric
-values, hurwitz_zeta, bernoulli, Cl2(pi/3) and the digits `bbp eval` prints,
-against mpmath.
+"""Differential tests of evaluate, li_point_value, part_formulas, the exact
+trigonometric values, hurwitz_zeta, bernoulli, Cl2(pi/3) and the digits
+`bbp eval` prints, against mpmath.
 
 Each oracle shares no code with bbpkit.  evaluate and li_point_value are
 called at several precisions per example, in the random order hypothesis
@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from bbpkit.bigmath import GUARD_BITS
 from bbpkit.catalog import bits_for_digits, default_catalog, derive_bbp, evaluate_expr
 from bbpkit.cli import main
-from bbpkit.generator import _TRIG, LiPoint
+from bbpkit.generator import LiPoint, _twice_cos, part_formulas, period
 from bbpkit.pformula import PFormula, evaluate
 from bbpkit.reference import bernoulli, constant, hurwitz_zeta, li_point_value
 from mp_oracle import context, expr_value, formula_value, polylog_part, within
@@ -91,18 +91,18 @@ def points(draw):
 
 
 def test_trig_lookup_agrees_with_mpmath():
+    # every angle a point reaches: j*pi/12 with j = 12*n/d*k - phase, phase 6 for sin
     ctx = mpmath.MPContext()
     ctx.dps = 50
-    assert sorted(_TRIG) == [(d, part) for d in (1, 2, 3, 4) for part in ("im", "re")]
-    for (d, part), row in _TRIG.items():
-        assert len(row) == 2 * d
-        for m, tv in enumerate(row):
-            assert sum(1 for x in tv[1:] if x) <= 1, (d, part, m)
-            exact = ctx.fsum(ctx.mpf(x.numerator) / x.denominator * ctx.sqrt(r)
-                             for x, r in zip(tv, (1, 2, 3)))
-            angle = ctx.mpf(m) / d
-            ref = ctx.cospi(angle) if part == "re" else ctx.sinpi(angle)
-            assert abs(exact - ref) < ctx.mpf(10) ** -48, (d, part, m)
+    for d in (1, 2, 3, 4):
+        for n in range(2 * d):
+            for phase in (0, 6):
+                for k in range(1, 25):
+                    j = 12 * n // d * k - phase
+                    c, r = _twice_cos(j)
+                    assert r in (1, 2, 3), j
+                    ref = 2 * ctx.cospi(ctx.mpf(j) / 12)
+                    assert abs(c * ctx.sqrt(r) - ref) < ctx.mpf(10) ** -48, j
 
 
 @settings(max_examples=80, deadline=None)
@@ -112,6 +112,25 @@ def test_li_point_value_agrees_with_mpmath_polylog(pt, precisions):
     ref = polylog_part(pt, ctx)
     for bits in precisions:
         assert within(li_point_value(pt, bits), ctx, ref), (pt, bits)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("scale", [1, 2, 3, 4])
+def test_part_formulas_agree_with_mpmath_polylog(degree, scale):
+    # every point at these scales: odd q*k swaps (c, 1) to (c, 2) and (c, 2) to
+    # (2c, 1), and pi/3 angles give sqrt(3) parts
+    ctx = context(340)
+    sites = [(n, d, part) for d in (1, 2, 3, 4) for n in range(1, 2 * d) if gcd(n, d) == 1
+             if d != 3 or scale % 2 == 0 for part in ("re", "im")]
+    if scale % 2 == 0:
+        sites.append((0, 1, "re"))
+    for n, d, part in sites:
+        pt = LiPoint(degree, scale, n, d, part)
+        total = ctx.mpf(0)
+        for root, p in part_formulas(pt, period(pt)):
+            v = evaluate(p, 340)
+            total += ctx.sqrt(root) * ctx.ldexp(v.mantissa, -v.frac_bits)
+        assert abs(total - polylog_part(pt, ctx)) < ctx.mpf(10) ** -100, pt
 
 
 @settings(max_examples=60, deadline=None)
