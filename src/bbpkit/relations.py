@@ -1,34 +1,36 @@
 """PSLQ integer-relation search.
 
-The PSLQ implementation is the standard single-level algorithm (weighted
-diagonal row selection with gamma = 2/sqrt(3), corner Givens rotation,
-Hermite-style size reduction) run over fixed-point big integers.  Reduction
-after the first is incremental: an iteration swaps rows m and m+1 of H and
-rotates columns m and m+1, so no other diagonal and, in rows below m, no
-entry left of column m changes.  Those entries were reduced to a - t*b in
-[-|b|/2, |b|/2), whose nearest-integer quotient is exactly 0, so a row stops
-below column m unless a non-zero quotient at m+1 or m changed it; the
-iterates are those of the full reduction.  Only B is kept, since its
-columns are the candidate relations; the usual matrix A would never be read.
-Candidate relations are always confirmed by an exact certified
-re-evaluation against the input values before being returned, so internal
-rounding can delay but never corrupt a result.  When the search stops
-without a relation, the standard smallest-diagonal bound certifies that no
-relation with coefficients below the reported norm exists at the working
-precision.
+The standard single-level PSLQ (weighted diagonal row selection with
+gamma = 2/sqrt(3), corner Givens rotation, Hermite-style size reduction) over
+big integers with f = prec_bits fraction bits.  The rotation takes
+cos = floor(H_mm 2^g / t0) and sin = floor(H_m,m+1 2^g / t0) once, g = f + 64,
+and gives row i >= m, for a = H_im, b = H_i,m+1 and k = cos (a + b),
+H_im = (k - b (cos - sin)) >> g and H_i,m+1 = (k + a (-sin - cos)) >> g.  An
+entry differs from the exact floor((a H_mm + b H_m,m+1) / t0), or its
+partner, only when that quotient lies within (|a| + |b|) 2^-g of an integer.
+Size reduction is one flat loop over each row's columns; the quotient t is
+read off the ranges kept with H_jj where it is 0, 1 or -1, and a unit t adds
+or subtracts rows.  After the first, a row stops below column m unless a
+non-zero quotient at m+1 or m changed it, since no other diagonal and, in
+rows below m, no entry left of column m moved.  Candidate relations (columns
+of B) are confirmed by an exact certified re-evaluation, so rounding can
+delay but never corrupt a result; without one, the smallest-diagonal bound
+certifies that no relation with coefficients below the reported norm exists
+at the working precision.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import add, sub
 
 from .bigmath import FixReal, primitive
 
 __all__ = ["RelationResult", "PslqReport", "PrecisionExhausted", "pslq", "check_work",
            "MAX_PSLQ_WORK"]
 
-# iteration cap * n * (n + r) of one search, r as in check_work: about 90 to 700 ns a unit
+# iteration cap * n * (n + r) of one search, r as in check_work: about 190 to 420 ns a unit
 MAX_PSLQ_WORK = 1 << 32
 
 
@@ -124,41 +126,58 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
 
     B = [[int(i == j) for j in range(n)] for i in range(n)]  # B[j]: column j of the transform
 
-    def reduce_row(i: int, j_start: int, j_stop: int = 0) -> None:
+    # gamma^2 = 4/3; compare w_i = 4^i 3^(n-1-i) H_ii^2 exactly
+    scale = [4**i * 3 ** (n - 1 - i) for i in range(n - 1)]
+    w = [0] * (n - 1)
+    diag = [0] * (n - 1)
+    ranges = [(0, 0, 0, 0, True)] * (n - 1)  # _quotient_ranges(H_jj)
+
+    def refresh(j: int) -> None:
+        hjj = H[j][j]
+        if hjj == 0:
+            raise PrecisionExhausted("vanishing diagonal during reduction")
+        w[j] = scale[j] * hjj * hjj
+        diag[j] = abs(hjj)
+        ranges[j] = _quotient_ranges(hjj)
+
+    def reduce_row(i: int, top: int, j_stop: int = 0) -> None:
         # Until a non-zero t changes row i, its quotients below column j_stop are 0.
-        for j in range(j_start, -1, -1):
-            if j < j_stop:
-                return
-            hi, hj = H[i], H[j]
-            a, b = hi[j], hj[j]
-            if b == 0:
-                raise PrecisionExhausted("vanishing diagonal during reduction")
-            if a.bit_length() + 1 < b.bit_length():
-                continue  # |a| < |b|/2: the nearest integer to a/b is 0
-            if b < 0:
-                a, b = -a, -b
-            t = (2 * a + b) // (2 * b)  # the nearest integer to a/b, halves up
-            if t == 0:
+        hi, bi = H[i], B[i]
+        for j in range(top, -1, -1):
+            a = hi[j]
+            lo1, lo, up, up1, pos = ranges[j]
+            if lo <= a <= up:
+                if j <= j_stop:
+                    return
                 continue
             j_stop = 0
-            y[j] += t * y[i]
-            for k in range(j + 1):
-                hi[k] -= t * hj[k]
-            bj, bi = B[j], B[i]
-            for k in range(n):
-                bj[k] += t * bi[k]
+            hj = H[j]
+            if not lo1 <= a <= up1:
+                t = (2 * a + hj[j]) // (2 * hj[j])  # the nearest integer to a/H_jj, halves up
+                y[j] += t * y[i]
+                hi[: j + 1] = [u - t * v for u, v in zip(hi, hj[: j + 1])]
+                B[j] = [u + t * v for u, v in zip(B[j], bi)]
+            elif (a > up) == pos:  # t = 1
+                y[j] += y[i]
+                for k in range(j + 1):
+                    hi[k] -= hj[k]
+                B[j] = list(map(add, B[j], bi))
+            else:  # t = -1
+                y[j] -= y[i]
+                for k in range(j + 1):
+                    hi[k] += hj[k]
+                B[j] = list(map(sub, B[j], bi))
 
+    for j in range(n - 1):
+        refresh(j)
     for i in range(1, n):
         reduce_row(i, i - 1)
 
-    # gamma^2 = 4/3; compare w_i = 4^i 3^(n-1-i) H_ii^2 exactly
-    scale = [4**i * 3 ** (n - 1 - i) for i in range(n - 1)]
-    w = [scale[i] * H[i][i] * H[i][i] for i in range(n - 1)]
-    diag = [abs(H[i][i]) for i in range(n - 1)]
     # _diag_bound(H) > max_norm exactly when 0 < max(diag) <= excluded
     excluded = (1 << f) // (max_norm + 1)
     noise_floor = 1 << 32
     detect = 1 << 80  # y mantissa below 2^(80-f): try the candidate column
+    g = f + 64  # the rotation's guard bits
 
     for iteration in range(1, max_iter + 1):
         m = w.index(max(w))  # the first maximum
@@ -171,23 +190,27 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
             t0 = isqrt(hmm * hmm + hmm1 * hmm1)
             if t0 == 0:
                 raise PrecisionExhausted("vanishing corner during rotation")
-            for i in range(m, n):
-                a_, b_ = H[i][m], H[i][m + 1]
-                H[i][m] = (a_ * hmm + b_ * hmm1) // t0
-                H[i][m + 1] = (b_ * hmm - a_ * hmm1) // t0
+            cos, sin = (hmm << g) // t0, (hmm1 << g) // t0
+            c_s, s_c = cos - sin, -sin - cos
+            for hi in H[m:]:
+                a, b = hi[m], hi[m + 1]
+                k = cos * (a + b)
+                hi[m] = (k - b * c_s) >> g
+                hi[m + 1] = (k + a * s_c) >> g
+            H[m][m + 1] = 0
         for j in range(m, min(m + 2, n - 1)):  # the only diagonals that moved
-            hjj = H[j][j]
-            w[j] = scale[j] * hjj * hjj
-            diag[j] = abs(hjj)
+            refresh(j)
 
         for i in range(m + 1, n):
             reduce_row(i, min(i - 1, m + 1), m)
 
-        # detection: some y entry collapsed to the working resolution
+        # detection: the smallest |y| column, and all below detect at the noise floor
         min_abs = min(map(abs, y))
         if min_abs < detect:
-            idx = min(range(n), key=lambda i: abs(y[i]))
-            if any(B[idx]):
+            ranked = sorted(zip(map(abs, y), range(n)))
+            for size, idx in ranked if min_abs < noise_floor else ranked[:1]:
+                if size >= detect:
+                    break
                 coeffs = primitive(B[idx])[1]
                 residual = _confirm(coeffs, values, prec_bits)
                 if residual is not None:
@@ -202,6 +225,14 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
             return PslqReport(None, _diag_bound(H, n, f), iteration, "excluded")
 
     raise PrecisionExhausted(f"no decision after {max_iter} iterations")
+
+
+def _quotient_ranges(b: int) -> tuple[int, int, int, int, bool]:
+    """(lo1, lo, hi, hi1, b > 0) for b != 0: the nearest integer to a/b (halves up)
+    is 0 for lo <= a <= hi, sign(b) for hi < a <= hi1 and -sign(b) for lo1 <= a < lo."""
+    d = abs(b)
+    lo, hi = (-(d >> 1), (d - 1) >> 1) if b > 0 else (-((d - 1) >> 1), d >> 1)
+    return lo - d, lo, hi, hi + d, b > 0
 
 
 def _diag_bound(H: list[list[int]], n: int, f: int) -> int:

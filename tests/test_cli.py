@@ -111,6 +111,15 @@ def test_pslq_subcommand(capsys):
     assert out.startswith("RELATION [2, -1]") or out.startswith("RELATION [-2, 1]")
 
 
+@pytest.mark.parametrize("digits", ["20", "50", "100"])
+def test_pslq_finds_a_value_and_its_negation(capsys, digits):
+    # (1, 1) is a column after the first reduction; reducing by the one-ulp
+    # diagonal of the first swap leaves another column with a smaller |y|
+    code, out, _ = run(capsys, "pslq", "--values", "1 * pi; -1 * pi", "--digits", digits)
+    assert code == 0
+    assert out.startswith("RELATION [1, 1] ")
+
+
 @pytest.mark.parametrize("argv, line", [
     (("1 * pi; 1 * log2", "--max-norm", "100"),
      "NONE excluded up to coefficient norm 317 (3 iterations)"),

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import bbpkit
 from bbpkit.bigmath import FixReal
@@ -15,7 +15,7 @@ from bbpkit.catalog import bits_for_digits, default_catalog, evaluate_expr, pars
 from bbpkit.cli import MAX_DIGITS
 from bbpkit.reference import ConstMonomial, const_value
 from bbpkit.relations import (MAX_PSLQ_WORK, PrecisionExhausted, RelationResult, _diag_bound,
-                              check_work, pslq)
+                              _quotient_ranges, check_work, pslq)
 
 
 def test_certify_pi_minus_pi():
@@ -135,20 +135,23 @@ def test_relation_result_rejects_zero_vector():
         RelationResult((0, 0), FixReal.zero(8))
 
 
-def _seeded_values(seed: int, n: int, bits: int, planted: int) -> list[FixReal]:
+def _seeded_values(seed: int, n: int, bits: int, planted: int) -> tuple[list[FixReal], list[int]]:
     """n square roots of seeded integers at `bits` fraction bits; when planted > 0
-    the last value is their combination with seeded coefficients in [-planted, planted]."""
+    the last value is their combination with seeded coefficients c in
+    [-planted, planted], returned with the values (c is empty otherwise)."""
     rng = random.Random(seed)
     xs = [isqrt(rng.randrange(2, 10**9) << (2 * bits)) for _ in range(n - bool(planted))]
     vals = [FixReal(x, bits, 1) for x in xs]
+    c = []
     if planted:
         c = [rng.randrange(-planted, planted + 1) for _ in xs]
         vals.append(FixReal(sum(ci * x for ci, x in zip(c, xs)), bits, sum(map(abs, c)) + 1))
-    return vals
+    return vals, c
 
 
 # (seed, n, bits, planted, max_norm) -> (status, coeffs, exclusion_bound, iterations),
-# recorded from the full (non-incremental) size reduction
+# rows 0-19 recorded from the full (non-incremental) size reduction, rows 20-25
+# (rotations at width) from the rotation that divided every entry by t0
 PINNED_SEARCHES = [
     (0, 2, 64, 0, 100, "excluded", None, 140, 3),
     (1, 2, 64, 1, 100, "found", (1, -1), 18446744073709551616, 1),
@@ -170,6 +173,14 @@ PINNED_SEARCHES = [
     (17, 11, 1000, 3, 100000000, "found", (1, 2, -1, -3, -3, -2, 0, 3, 2, 0, -1), 3, 136),
     (18, 12, 1000, 0, 100000, "excluded", None, 101839, 1270),
     (19, 12, 1000, 4, 100000000, "found", (0, 2, 0, 3, 0, -2, -1, 0, 3, -1, 0, 1), 2, 129),
+    (20, 16, 466, 0, 10000, "excluded", None, 10338, 2018),
+    (21, 16, 466, 3, 1000000, "found", (1, -2, 3, -3, -3, -1, 1, 0, -3, -2, 3, 3, -2, -2, 2, -1), 3,
+     359),
+    (22, 24, 466, 0, 1000, "excluded", None, 1009, 3576),
+    (23, 24, 466, 2, 1000000, "found",
+     (2, 2, 2, -1, -1, 2, -2, -1, 0, 2, 1, 2, -2, 0, 1, -2, 1, 0, -2, 0, -2, 0, 0, 1), 3, 1011),
+    (24, 3, 10000, 0, 1000000, "excluded", None, 1086156, 29),
+    (25, 3, 10000, 100, 1000000, "found", (97, 46, 1), 93, 5),
 ]
 
 
@@ -177,7 +188,7 @@ PINNED_SEARCHES = [
                          PINNED_SEARCHES)
 def test_pslq_iterates_are_pinned(seed, n, bits, planted, max_norm, status, coeffs, bound,
                                   iterations):
-    vals = _seeded_values(seed, n, bits, planted)
+    vals, _ = _seeded_values(seed, n, bits, planted)
     rep = pslq(vals, max_norm, bits)
     assert (rep.status, rep.exclusion_bound, rep.iterations) == (status, bound, iterations)
     assert (rep.relation.coeffs if rep.relation else None) == coeffs
@@ -210,12 +221,47 @@ def test_exclusion_threshold_matches_the_diagonal_bound(diagonal, f, max_norm):
 
 
 @given(WIDE, WIDE.filter(bool))
-@example(1, 4)  # 1 and 3 bits: |a| < |b|/2
-@example(-2, 4)  # 2 and 3 bits: the quotient is -1/2, which rounds to 0 but is not skipped
-@example(3, -8)
-def test_short_numerator_has_quotient_zero(a, b):
-    if a.bit_length() + 1 < b.bit_length():
-        assert _nint_div(a, b) == 0
+@example(1, 4)  # a quarter
+@example(-2, 4)  # -1/2 rounds up to 0
+@example(2, 4)  # 1/2 rounds up to 1
+@example(2, -4)  # -1/2 again
+@example(-2, -4)
+@example(3, -7)
+@example(-3, 7)
+@example(6, 4)  # 3/2 rounds up to 2
+@example(-6, 4)  # -3/2 rounds up to -1
+@example(-7, 4)
+def test_quotient_ranges_hold_exactly_the_small_quotients(a, b):
+    lo1, lo, hi, hi1, positive = _quotient_ranges(b)
+    t = _nint_div(a, b)
+    assert (lo <= a <= hi) == (t == 0)
+    assert (lo1 <= a <= hi1) == (abs(t) <= 1)
+    if abs(t) == 1:  # t = 1 above the zero range when b > 0, below it when b < 0
+        assert ((a > hi) == positive) == (t == 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=1 << 32), st.integers(min_value=2, max_value=6),
+       st.integers(min_value=64, max_value=2000), st.integers(min_value=1, max_value=1000),
+       st.integers(min_value=1, max_value=4096))
+@example(2, 2, 166, 1, 10**6)  # the pair (v, -v)
+@example(7, 6, 2000, 1000, 4096)
+def test_planted_relations_are_found_and_never_excluded(seed, n, bits, height, max_norm):
+    vals, c = _seeded_values(seed, n, bits, height)
+    assume(any(c))
+    c.append(-1)
+    norm2 = sum(ci * ci for ci in c)
+    try:
+        rep = pslq(vals, max_norm, bits)
+    except PrecisionExhausted:
+        rep = None
+    if rep is not None and rep.status == "excluded":
+        assert rep.exclusion_bound ** 2 < norm2
+    # measured over 3000 seeded searches (n from 2 to 8, |c_i| up to 10^4): every
+    # search that gave up had bits <= n * bit_length(max |c_i|) + 44
+    if max_norm * max_norm >= norm2 and bits >= n * max(map(abs, c)).bit_length() + 64:
+        assert rep is not None and rep.status == "found"
+        assert sum(ci * v.mantissa for ci, v in zip(rep.relation.coeffs, vals)) == 0
 
 
 # -- the work cap -------------------------------------------------------------
