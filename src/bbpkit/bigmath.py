@@ -173,11 +173,7 @@ class FixReal(_Fields):
     def __sub__(self, other: "FixReal") -> "FixReal":
         if type(other) is not FixReal:
             return NotImplemented
-        m, f, e = self
-        m2, f2, e2 = other
-        if f < f2:
-            return _build(FixReal, ((m << (f2 - f)) - m2, f2, (e << (f2 - f)) + e2))
-        return _build(FixReal, (m - (m2 << (f - f2)), f, e + (e2 << (f - f2))))
+        return self + -other
 
     def mul(self, other: "FixReal", out_bits: int) -> "FixReal":
         """Product truncated toward zero at ``out_bits`` fractional bits."""

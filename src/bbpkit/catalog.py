@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache, lru_cache
 from typing import Iterable, NamedTuple, Union
@@ -85,14 +85,10 @@ class LinearExpr:
     @classmethod
     def make(cls, terms: Iterable[tuple[Fraction, Term]]) -> "LinearExpr":
         """Build with structural duplicates merged and zero terms dropped."""
-        merged: dict[Term, Fraction] = {}
-        order: list[Term] = []
+        merged: dict[Term, Fraction] = {}  # in first-insertion order
         for coeff, term in terms:
-            if term not in merged:
-                merged[term] = Fraction(0)
-                order.append(term)
-            merged[term] += Fraction(coeff)
-        live = tuple((merged[t], t) for t in order if merged[t] != 0)
+            merged[term] = merged.get(term, 0) + Fraction(coeff)
+        live = tuple((c, t) for t, c in merged.items() if c != 0)
         if not live:
             live = ((Fraction(0), ConstMonomial()),)
         return cls(live)
@@ -242,11 +238,13 @@ class Catalog:
 
 
 _KEY_RE = re.compile(r"^(\w+)\s*=\s*\"(.*)\"\s*$")
+_FIELDS = frozenset(f.name for f in fields(IdentityRecord))  # the only keys a block may set
 
 
 def _blocks(text: str, origin: str) -> list[tuple[int, dict[str, str]]]:
     """(first line, fields) of each ``[identity]`` block, in order; a
-    ``version = "..."`` line before the first block is accepted and ignored."""
+    ``version = "..."`` line before the first block is accepted and ignored,
+    and any key that is not an IdentityRecord field is refused."""
     blocks: list[tuple[int, dict[str, str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -263,10 +261,12 @@ def _blocks(text: str, origin: str) -> list[tuple[int, dict[str, str]]]:
             if key == "version":
                 continue
             raise CatalogError(f"{origin}:{lineno}: field outside a record block")
-        fields = blocks[-1][1]
-        if key in fields:
+        if key not in _FIELDS:
+            raise CatalogError(f"{origin}:{lineno}: unknown field {key!r}")
+        block = blocks[-1][1]
+        if key in block:
             raise CatalogError(f"{origin}:{lineno}: duplicate field {key!r}")
-        fields[key] = value
+        block[key] = value
     return blocks
 
 

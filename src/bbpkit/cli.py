@@ -87,22 +87,25 @@ def _load_catalog(args: argparse.Namespace) -> Catalog:
     return catalog_mod.default_catalog()
 
 
+def _check_one_source(args: argparse.Namespace, inline: str | None, what: str) -> None:
+    """A request names exactly one source: a catalog record or inline text."""
+    if bool(args.formula_id) == bool(inline):
+        raise ValueError(f"provide {what} or --formula-id" + (", not both" if inline else ""))
+
+
 def _resolve_formula(args: argparse.Namespace) -> PFormula:
+    _check_one_source(args, args.formula, "--formula")
     if args.formula_id:
         return derive_bbp(_load_catalog(args).get(args.formula_id))
-    if args.formula:
-        return parse_p(args.formula)
-    raise ValueError("provide --formula-id or --formula")
+    return parse_p(args.formula)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     bits, digits = _resolve_bits(args)
+    _check_one_source(args, args.expr, "an expression")
     if args.formula_id:
-        record = _load_catalog(args).get(args.formula_id)
-        expr = record.rhs
+        expr = _load_catalog(args).get(args.formula_id).rhs
     else:
-        if not args.expr:
-            raise ValueError("provide an expression or --formula-id")
         expr = parse_expr(args.expr)
     if all(term == ConstMonomial() for _, term in expr.terms):  # a rational: printed exactly
         q = sum(coeff for coeff, _ in expr.terms)

@@ -13,10 +13,11 @@ read off the ranges kept with H_jj where it is 0, 1 or -1, and a unit t adds
 or subtracts rows.  After the first, a row stops below column m unless a
 non-zero quotient at m+1 or m changed it, since no other diagonal and, in
 rows below m, no entry left of column m moved.  Candidate relations (columns
-of B) are confirmed by an exact certified re-evaluation, so rounding can
-delay but never corrupt a result; without one, the smallest-diagonal bound
-certifies that no relation with coefficients below the reported norm exists
-at the working precision.
+of B) are confirmed, each once, by an exact certified re-evaluation, so
+rounding can delay but never corrupt a result.  Any relation has norm at
+least 1 / max |H_jj|; the one bound 2^f // max |H_jj| is both what a report
+gives and what excludes: past max_norm, no relation with coefficients below
+it exists at the working precision.
 """
 from __future__ import annotations
 
@@ -53,7 +54,10 @@ class PslqReport:
     relation: RelationResult | None
     exclusion_bound: int
     iterations: int
-    status: str  # "found" | "excluded"
+
+    @property
+    def status(self) -> str:
+        return "found" if self.relation else "excluded"
 
 
 def check_work(n: int, prec_bits: int, max_norm: int) -> int:
@@ -112,17 +116,14 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + y[i] * y[i]
     s = [isqrt(v) for v in suffix[:n]]
+    if s[-1] == 0:  # s never increases: a nonzero last sum makes every divisor below nonzero
+        raise PrecisionExhausted("degenerate partial sums")
     H = [[0] * (n - 1) for _ in range(n)]
     for i in range(n):
         if i < n - 1:
-            if s[i] == 0:
-                raise PrecisionExhausted("degenerate partial sums")
             H[i][i] = (s[i + 1] << f) // s[i]
         for j in range(i):
-            d = s[j] * s[j + 1]
-            if d == 0:
-                raise PrecisionExhausted("degenerate partial sums")
-            H[i][j] = (-(y[i] * y[j]) << f) // d
+            H[i][j] = (-(y[i] * y[j]) << f) // (s[j] * s[j + 1])
 
     B = [[int(i == j) for j in range(n)] for i in range(n)]  # B[j]: column j of the transform
 
@@ -173,8 +174,8 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
     for i in range(1, n):
         reduce_row(i, i - 1)
 
-    # _diag_bound(H) > max_norm exactly when 0 < max(diag) <= excluded
-    excluded = (1 << f) // (max_norm + 1)
+    one = 1 << f
+    refused: set[tuple[int, ...]] = set()  # primitive candidates _confirm turned down
     noise_floor = 1 << 32
     detect = 1 << 80  # y mantissa below 2^(80-f): try the candidate column
     g = f + 64  # the rotation's guard bits
@@ -204,6 +205,8 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
         for i in range(m + 1, n):
             reduce_row(i, min(i - 1, m + 1), m)
 
+        # any relation has euclidean norm at least 1 / max_j |H_jj|
+        bound = one // max(diag)
         # detection: the smallest |y| column, and all below detect at the noise floor
         min_abs = min(map(abs, y))
         if min_abs < detect:
@@ -212,17 +215,19 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
                 if size >= detect:
                     break
                 coeffs = primitive(B[idx])[1]
+                if coeffs in refused:  # _confirm is deterministic: it would refuse it again
+                    continue
                 residual = _confirm(coeffs, values, prec_bits)
                 if residual is not None:
-                    return PslqReport(RelationResult(coeffs, residual),
-                                      _diag_bound(H, n, f), iteration, "found")
+                    return PslqReport(RelationResult(coeffs, residual), bound, iteration)
+                refused.add(coeffs)
             if min_abs < noise_floor:
                 raise PrecisionExhausted(
                     "y-vector reached the noise floor without a confirmable relation"
                 )
 
-        if 0 < max(diag) <= excluded:
-            return PslqReport(None, _diag_bound(H, n, f), iteration, "excluded")
+        if bound > max_norm:
+            return PslqReport(None, bound, iteration)
 
     raise PrecisionExhausted(f"no decision after {max_iter} iterations")
 
@@ -233,11 +238,3 @@ def _quotient_ranges(b: int) -> tuple[int, int, int, int, bool]:
     d = abs(b)
     lo, hi = (-(d >> 1), (d - 1) >> 1) if b > 0 else (-((d - 1) >> 1), d >> 1)
     return lo - d, lo, hi, hi + d, b > 0
-
-
-def _diag_bound(H: list[list[int]], n: int, f: int) -> int:
-    # any relation has euclidean norm at least 1 / max_j |H_jj|
-    biggest = max(abs(H[j][j]) for j in range(n - 1))
-    if biggest == 0:
-        return 0
-    return (1 << f) // biggest

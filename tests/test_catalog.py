@@ -206,6 +206,7 @@ RECORD = '[identity]\nid = "x"\nanchor = "a"\nkind = "generator"\nlhs = "0"\nrhs
     ('id = "x"\n' + RECORD, "f.txt:1: field outside a record block"),
     (RECORD + "lhs\n", "f.txt:7: cannot parse line 'lhs'"),
     (RECORD + 'lhs = "1"\n', "f.txt:7: duplicate field 'lhs'"),
+    (RECORD + 'comb = "typo"\n', "f.txt:7: unknown field 'comb'"),
     (RECORD + '[identity]\nid = "y"\n', "f.txt:7: record missing fields "
                                           "['anchor', 'kind', 'lhs', 'rhs'] (id='y')"),
     (RECORD.replace('"0"\n', '"1/0"\n', 1),

@@ -168,6 +168,9 @@ def test_usage_error_exit_code(capsys):
     ("combine", "--terms", "1 * pi"),
     ("combine", "--terms", "1 * P(1, 2^1, 1, [1]) + 1 * sqrt3 * P(1, 2^1, 1, [1])"),
     ("pslq", "--values", "1 * pi"),
+    ("eval", "1 * pi", "--formula-id", "deg2-catalan-2e12", "--digits", "20"),
+    ("digits", "--formula-id", "deg3-zeta3-2e12", "--formula", "P(1, 2^1, 1, [1])",
+     "--pos", "0", "--count", "8"),
 ])
 def test_usage_error_is_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
