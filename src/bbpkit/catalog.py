@@ -297,7 +297,10 @@ def load_catalog(path: str) -> Catalog:
         raise CatalogError(f"cannot read catalog {path!r}: {exc.strerror or exc}") from None
     if len(data) > MAX_CATALOG_BYTES:
         raise CatalogError(f"catalog {path!r} is longer than {MAX_CATALOG_BYTES} bytes")
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     records = tuple(_record(fields, f"{path}:{line}") for line, fields in _blocks(text, path))
     if not records:
         raise CatalogError(f"{path}: catalog contains no records")

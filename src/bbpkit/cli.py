@@ -12,9 +12,10 @@ import argparse
 import json
 import os
 import sys
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 from functools import cache
-from math import ceil
+from typing import NoReturn
 
 from . import catalog as catalog_mod
 from .bigmath import truncated_decimal
@@ -35,6 +36,7 @@ __all__ = ["main", "format_bound", "MAX_DIGITS", "MAX_BITS", "EVAL_DOUBLINGS"]
 MAX_DIGITS = 100_000  # largest --digits
 MAX_BITS = bits_for_digits(MAX_DIGITS)  # largest --bits, and the most `eval` raises precision to
 EVAL_DOUBLINGS = 6  # `eval` raises precision at most 2^6-fold past its starting bits
+_BOUND = Context(prec=4, rounding=ROUND_CEILING, Emin=MIN_EMIN, Emax=MAX_EMAX)  # any exponent
 
 
 def format_bound(bound: Fraction) -> str:
@@ -43,30 +45,9 @@ def format_bound(bound: Fraction) -> str:
     underflow past 1e-308)."""
     if bound <= 0:
         return "0.000e+00"
-    e = (bound.numerator.bit_length() - bound.denominator.bit_length()) * 30103 // 100000
-    while Fraction(10) ** e > bound:
-        e -= 1
-    while Fraction(10) ** (e + 1) <= bound:
-        e += 1
-    digits = ceil(bound / Fraction(10) ** (e - 3))  # 1000 to 10000
-    if digits == 10000:
-        digits, e = 1000, e + 1
-    return f"{digits // 1000}.{digits % 1000:03d}e{e:+03d}"
-
-
-def _add_shared(sub: argparse.ArgumentParser, *flags: str) -> None:
-    """Attach the shared flags a subcommand reads: catalog, format, precision."""
-    if "catalog" in flags:
-        sub.add_argument("--catalog", default=None, help="path to an alternate catalog file")
-    if "format" in flags:
-        sub.add_argument("--format", choices=("text", "json-lines"), default="text",
-                         help="output format")
-    if "precision" in flags:
-        group = sub.add_mutually_exclusive_group()
-        group.add_argument("--digits", type=int, default=None,
-                           help=f"decimal digits of precision (16 to {MAX_DIGITS})")
-        group.add_argument("--bits", type=int, default=None,
-                           help=f"binary precision (1 to {MAX_BITS})")
+    d = _BOUND.divide(Decimal(bound.numerator), Decimal(bound.denominator))
+    e = d.adjusted()
+    return f"{d.scaleb(-e, _BOUND):.3f}e{e:+03d}"
 
 
 def _resolve_bits(args: argparse.Namespace, default_digits: int = 200) -> tuple[int, int]:
@@ -74,10 +55,10 @@ def _resolve_bits(args: argparse.Namespace, default_digits: int = 200) -> tuple[
         if not 1 <= args.bits <= MAX_BITS:
             raise ValueError(f"--bits must be 1 to {MAX_BITS}")
         digits = min(max(args.bits * 3 // 10, 16), MAX_DIGITS)
-        return max(args.bits, bits_for_digits(digits)), digits
-    digits = args.digits if args.digits is not None else default_digits
-    if not 16 <= digits <= MAX_DIGITS:
-        raise ValueError(f"precision must be 16 to {MAX_DIGITS} digits")
+    else:
+        digits = args.digits if args.digits is not None else default_digits
+        if not 16 <= digits <= MAX_DIGITS:
+            raise ValueError(f"precision must be 16 to {MAX_DIGITS} digits")
     return bits_for_digits(digits), digits
 
 
@@ -87,23 +68,15 @@ def _load_catalog(args: argparse.Namespace) -> Catalog:
     return catalog_mod.default_catalog()
 
 
-def _check_one_source(args: argparse.Namespace, inline: str | None, what: str) -> None:
-    """A request names exactly one source: a catalog record or inline text."""
-    if bool(args.formula_id) == bool(inline):
-        raise ValueError(f"provide {what} or --formula-id" + (", not both" if inline else ""))
-
-
 def _resolve_formula(args: argparse.Namespace) -> PFormula:
-    _check_one_source(args, args.formula, "--formula")
-    if args.formula_id:
+    if args.formula_id is not None:
         return derive_bbp(_load_catalog(args).get(args.formula_id))
     return parse_p(args.formula)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     bits, digits = _resolve_bits(args)
-    _check_one_source(args, args.expr, "an expression")
-    if args.formula_id:
+    if args.formula_id is not None:
         expr = _load_catalog(args).get(args.formula_id).rhs
     else:
         expr = parse_expr(args.expr)
@@ -218,29 +191,50 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals reach main's one usage-error line."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message.replace("\n", "\\n"))  # a stray argument may hold a newline
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args may reuse it."""
-    parser = argparse.ArgumentParser(
+    catalog = argparse.ArgumentParser(add_help=False)
+    catalog.add_argument("--catalog", default=None, help="path to an alternate catalog file")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json-lines"), default="text",
+                     help="output format")
+    precision = argparse.ArgumentParser(add_help=False)
+    group = precision.add_mutually_exclusive_group()
+    group.add_argument("--digits", type=int, default=None,
+                       help=f"decimal digits of precision (16 to {MAX_DIGITS})")
+    group.add_argument("--bits", type=int, default=None,
+                       help=f"binary precision (1 to {MAX_BITS})")
+
+    parser = _Parser(
         prog="bbp",
         description="Exact algebra, certified evaluation, digit extraction and "
         "integer-relation search for binary BBP-type formulas.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("eval", help="evaluate an expression or catalog formula")
-    p.add_argument("expr", nargs="?", default=None)
-    p.add_argument("--formula-id", default=None)
-    _add_shared(p, "catalog", "precision")
+    p = subs.add_parser("eval", parents=[catalog, precision],
+                        help="evaluate an expression or catalog formula")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("expr", nargs="?", default=None)
+    source.add_argument("--formula-id", default=None)
     p.set_defaults(func=_cmd_eval)
 
-    p = subs.add_parser("digits", help="extract hex digits at a bit position")
-    p.add_argument("--formula-id", default=None)
-    p.add_argument("--formula", default=None, help="inline P(...) text")
+    p = subs.add_parser("digits", parents=[catalog, fmt],
+                        help="extract hex digits at a bit position")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--formula-id", default=None)
+    source.add_argument("--formula", default=None, help="inline P(...) text")
     p.add_argument("--pos", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--guard", type=int, default=8, help="extra guard hex digits")
-    _add_shared(p, "catalog", "format")
     p.set_defaults(func=_cmd_digits)
 
     p = subs.add_parser("gen", help="generate the formula for a polylog point")
@@ -252,36 +246,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", required=True)
     p.set_defaults(func=_cmd_combine)
 
-    p = subs.add_parser("verify", help="verify one catalog record")
+    p = subs.add_parser("verify", parents=[catalog, fmt, precision],
+                        help="verify one catalog record")
     p.add_argument("--id", required=True)
-    _add_shared(p, "catalog", "format", "precision")
     p.set_defaults(func=_cmd_verify)
 
-    p = subs.add_parser("verify-all", help="verify every catalog record")
-    _add_shared(p, "catalog", "format", "precision")
+    p = subs.add_parser("verify-all", parents=[catalog, fmt, precision],
+                        help="verify every catalog record")
     p.set_defaults(func=_cmd_verify_all)
 
-    p = subs.add_parser("pslq", help="integer-relation search over expressions")
+    p = subs.add_parser("pslq", parents=[precision],
+                        help="integer-relation search over expressions")
     p.add_argument("--values", required=True, help="semicolon-separated expressions")
     p.add_argument("--max-norm", type=int, default=10**6)
-    _add_shared(p, "precision")
     p.set_defaults(func=_cmd_pslq)
 
-    p = subs.add_parser("catalog", help="catalog inspection")
+    p = subs.add_parser("catalog", parents=[catalog, fmt], help="catalog inspection")
     p.add_argument("action", choices=["list"])
-    _add_shared(p, "catalog", "format")
     p.set_defaults(func=_cmd_catalog)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's final flush
         return code
-    except ValueError as exc:
+    except ValueError as exc:  # a usage error, from argparse or from the library
         print(f"bbp: error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -212,10 +212,11 @@ RECORD = '[identity]\nid = "x"\nanchor = "a"\nkind = "generator"\nlhs = "0"\nrhs
     (RECORD.replace('"0"\n', '"1/0"\n', 1),
      "f.txt:1: bad record 'x': zero denominator (at position 1)"),
     ("# only a comment\n", "f.txt: catalog contains no records"),
+    (b"\xff" + RECORD.encode(), "f.txt: not UTF-8 (invalid start byte at byte 0)"),
 ])
 def test_load_reports_each_error_with_its_line(tmp_path, text, message):
     path = tmp_path / "f.txt"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     if message is None:
         assert [r.id for r in load_catalog(str(path))] == ["x"]
         return

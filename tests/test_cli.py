@@ -92,9 +92,9 @@ def test_verify_all_output_independent_of_threads(tmp_path, capsys):
     _, first, _ = run(capsys, "verify-all", "--digits", "30")
     _, second, _ = run(capsys, "verify-all", "--digits", "30")
     assert first == second
-    with pytest.raises(SystemExit) as exc:
-        main(["verify-all", "--digits", "30", "--threads", "2"])
-    assert exc.value.code == 2
+    code, out, err = run(capsys, "verify-all", "--digits", "30", "--threads", "2")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("bbp: error: ")
 
 
 def test_verify_all_json_lines(capsys):
@@ -171,6 +171,13 @@ def test_usage_error_exit_code(capsys):
     ("eval", "1 * pi", "--formula-id", "deg2-catalan-2e12", "--digits", "20"),
     ("digits", "--formula-id", "deg3-zeta3-2e12", "--formula", "P(1, 2^1, 1, [1])",
      "--pos", "0", "--count", "8"),
+    # refused by argparse, as are the missing and the doubled sources above
+    ("eval", "1 * pi", "--digits", "20", "--bits", "30"),
+    ("digits", "--pos", "x", "--count", "8", "--formula", "P(1, 2^1, 1, [1])"),
+    ("gen", "--point", "ReLi(1, 1, 3/4)", "stray\nargument"),
+    # an empty record id is a source, and no record has it
+    ("eval", "--formula-id", ""),
+    ("digits", "--formula-id", "", "--pos", "0", "--count", "8"),
 ])
 def test_usage_error_is_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -214,10 +221,18 @@ def test_digits_count_and_guard_over_limit_exit_code(capsys):
         assert err.count("\n") == 1
 
 
-def test_argparse_usage_exit_code():
+def test_argparse_usage_exit_code(capsys):
+    code, out, err = run(capsys, "frobnicate")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("bbp: error: ")
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("eval", "-h")])
+def test_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+        main(list(argv))
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bbp")
 
 
 @pytest.mark.parametrize("argv", [
@@ -226,10 +241,24 @@ def test_argparse_usage_exit_code():
     ("combine", "--terms", "1 * P(1, 2^1, 1, [1])", "--format", "json-lines"),
     ("pslq", "--values", "1 * pi; 2 * pi", "--catalog", "x"),
 ])
-def test_flags_a_subcommand_ignores_are_refused(argv):
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == 2
+def test_flags_a_subcommand_ignores_are_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("bbp: error: unrecognized arguments: ")
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("gen", "--point", "ReLi(1, 0, 1/4)"), "scale exponent must be positive"),
+    (("gen", "--point", "ReLi(2, 2, 0/3)"), "angle zero must be written over denominator 1"),
+    (("digits", "--formula", "P(1, 2^1, 0, [1])", "--pos", "0", "--count", "8"),
+     "length must be positive"),
+    (("digits", "--formula", "P(1, 3^2, 1, [1])", "--pos", "0", "--count", "8"),
+     "base must be written as 2^B, found '3'"),
+])
+def test_malformed_point_or_formula_is_one_line(capsys, argv, reason):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"bbp: error: {reason} (at position ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,9 +8,10 @@ request finishes in about a second.  The long-table slot evaluates 1000
 terms at degree 64 on the base 2^1: its largest admitted combination,
 65537/1 * P(64, 2^1, 1000, [65537, ...]) at 99 digits, is charged 3.4e7 of
 the 2^27 series-work units (about 1.1 s on 2 vCPUs), and every draw at 999
-digits is refused.  Whatever the input, the exit code must be 0, 1 or 2,
-stderr must hold no traceback, and an exit 2 must print exactly one line.
-No slot varies the shard count.
+digits is refused.  About one draw in three misspells the subcommand or
+puts a flag that argparse refuses after it.  Whatever the input, the exit
+code must be 0, 1 or 2, stderr must hold no traceback, and an exit 2 must
+print exactly one line.  No slot varies the shard count.
 """
 import os
 import resource
@@ -117,9 +118,17 @@ def _precision(draw) -> list[str]:
     return [flag, str(draw(DIGITS if flag == "--digits" else BITS))]
 
 
+# argv that argparse refuses: a flag no subcommand takes, both precisions, a
+# non-integer position, a choice outside its list
+STRAY_FLAGS = [["--threads", "2"], ["--digits", "20", "--bits", "30"], ["--pos", "x"],
+               ["--format", "xml"]]
+
+
 def _args(subcommand: str, catalog_dir) -> st.SearchStrategy[list[str]]:
+    """The subcommand's flags, with the subcommand misspelt or a stray flag
+    after it in about one draw in three."""
     @st.composite
-    def draw_args(draw) -> list[str]:
+    def draw_request(draw) -> list[str]:
         source = draw(st.sampled_from(["packaged", "missing", "directory", "garbage"]))
         cat = []
         if source == "missing":
@@ -163,6 +172,16 @@ def _args(subcommand: str, catalog_dir) -> st.SearchStrategy[list[str]]:
             return ["pslq", "--values", values, *draw(_precision()),
                     "--max-norm", str(draw(_slots(10**5 - 1)))]
         return ["catalog", "list", *cat]
+
+    @st.composite
+    def draw_args(draw) -> list[str]:
+        argv = draw(draw_request())
+        refusal = draw(st.sampled_from(["none", "none", "none", "none", "flag", "command"]))
+        if refusal == "flag":
+            argv[1:1] = draw(st.sampled_from(STRAY_FLAGS))
+        elif refusal == "command":
+            argv[0] = "frobnicate"
+        return argv
 
     return draw_args()
 

@@ -242,6 +242,10 @@ def test_align_shared_header_unchanged():
     assert align(ps) == ps
 
 
+def test_align_empty_input():
+    assert align([]) == []
+
+
 def test_align_degree_mismatch():
     with pytest.raises(FormulaError):
         align([parse_p("P(2, 2^4, 2, [1, 1])"), parse_p("P(3, 2^4, 2, [1, 1])")])
