@@ -150,7 +150,7 @@ def period(pt: LiPoint) -> int:
 def part_formulas(pt: LiPoint, length: int) -> list[tuple[int, PFormula]]:
     """(root, formula) for each nonzero part of the point's series, folded over length terms.
 
-    length must be a multiple of period(pt).  With B = q*length/2, term k is
+    length must be a positive multiple of period(pt).  With B = q*length/2, term k is
     2^(-q*k/2) * trig(k*x) = c * sqrt(r) * 2^(B - q*k/2) / 2^(B+1), where
     c * sqrt(r) = 2*trig(k*x) comes from _twice_cos; an odd q*k writes
     2^(-q*k/2) as sqrt(2) * 2^(-(q*k+1)/2), which maps (c, 2) to (2c, 1) and
@@ -162,7 +162,10 @@ def part_formulas(pt: LiPoint, length: int) -> list[tuple[int, PFormula]]:
     """
     length = int(length)
     per = period(pt)
-    if length < 1 or length % per != 0:
+    if length < 1:
+        raise PointError(
+            f"target length {length} must be a positive multiple of the period {per}")
+    if length % per != 0:
         raise PointError(f"target length {length} is not a multiple of the period {per}")
     base_exp = pt.scale_exp * length // 2
     check_table(length, base_exp, base_exp, PointError)
@@ -184,7 +187,7 @@ def part_formulas(pt: LiPoint, length: int) -> list[tuple[int, PFormula]]:
 def generate(pt: LiPoint, target_len: int) -> PFormula:
     """Exact formula of length target_len for the point, from part_formulas.
 
-    target_len must be a multiple of period(pt).  A sqrt(2) part, or a
+    target_len must be a positive multiple of period(pt).  A sqrt(2) part, or a
     rational part beside a sqrt(3) part, raises IrrationalCarryError; a lone
     sqrt(3) part moves its factor to the root3 flag.
     """

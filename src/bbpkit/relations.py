@@ -1,37 +1,48 @@
 """PSLQ integer-relation search.
 
-The standard single-level PSLQ (weighted diagonal row selection with
-gamma = 2/sqrt(3), corner Givens rotation, Hermite-style size reduction) over
-big integers with f = prec_bits fraction bits.  The rotation takes
-cos = floor(H_mm 2^g / t0) and sin = floor(H_m,m+1 2^g / t0) once, g = f + 64,
-and gives row i >= m, for a = H_im, b = H_i,m+1 and k = cos (a + b),
+The standard PSLQ (weighted diagonal row selection with gamma = 2/sqrt(3),
+corner Givens rotation, Hermite-style size reduction) over big integers with
+f = prec_bits fraction bits, in its multi-pair form (Bailey & Broadhurst,
+Math. Comp. 70, 2001) from 8 values up: an iteration swaps up to
+floor(2n/5) disjoint pairs (m, m+1), picked greedily in descending
+w_m = gamma^2m H_mm^2 from w's first maximum and passing over any pair with
+w_m < w_m+1.  Below 8 values it swaps the first maximum's pair alone.  Each
+picked corner is rotated: cos = floor(H_mm 2^g / t0) and
+sin = floor(H_m,m+1 2^g / t0) are taken once, g = f + 64, and give row
+i >= m, for a = H_im, b = H_i,m+1 and k = cos (a + b),
 H_im = (k - b (cos - sin)) >> g and H_i,m+1 = (k + a (-sin - cos)) >> g.  An
 entry differs from the exact floor((a H_mm + b H_m,m+1) / t0), or its
 partner, only when that quotient lies within (|a| + |b|) 2^-g of an integer.
-Size reduction is one flat loop over each row's columns; the quotient t is
-read off the ranges kept with H_jj where it is 0, 1 or -1, and a unit t adds
-or subtracts rows.  After the first, a row stops below column m unless a
-non-zero quotient at m+1 or m changed it, since no other diagonal and, in
-rows below m, no entry left of column m moved.  Candidate relations (columns
-of B) are confirmed, each once, by an exact certified re-evaluation, so
-rounding can delay but never corrupt a result.  Any relation has norm at
-least 1 / max |H_jj|; the one bound 2^f // max |H_jj| is both what a report
-gives and what excludes: past max_norm, no relation with coefficients below
-it exists at the working precision.
+Disjoint pairs swap disjoint rows and rotate disjoint columns, so their
+order does not matter.
+Size reduction is then one flat pass over the rows below the lowest pair l,
+each from column min(i - 1, h + 1) down, h the highest pair; the quotient t
+is read off the ranges kept with H_jj where it is 0, 1 or -1, and a unit t
+adds or subtracts rows.  After the first, a row stops below column l unless
+a non-zero quotient at or above l changed it, since no other diagonal and,
+in rows below l, no entry left of column l moved.  Each column of B is one
+integer of W-bit signed fields (_PackedColumns, W = 64 at first, doubled
+when a column's entries need it), so a reduction step updates a column with
+one big-integer multiply-add.  The iteration cap counts swaps: check_work's
+cap over the most pairs an iteration may swap.  Candidate relations
+(columns of B) are confirmed, each once, by an exact certified
+re-evaluation, so rounding can delay but never corrupt a result.  Any
+relation has norm at least 1 / max |H_jj|; the one bound 2^f // max |H_jj|
+is both what a report gives and what excludes: past max_norm, no relation
+with coefficients below it exists at the working precision.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from operator import add, sub
 
 from .bigmath import FixReal, primitive
 
 __all__ = ["RelationResult", "PslqReport", "PrecisionExhausted", "pslq", "check_work",
            "MAX_PSLQ_WORK"]
 
-# iteration cap * n * (n + r) of one search, r as in check_work: about 190 to 420 ns a unit
+# swap cap * n * (n + r) of one search, r as in check_work: about 145 to 370 ns a unit
 MAX_PSLQ_WORK = 1 << 32
 
 
@@ -61,12 +72,13 @@ class PslqReport:
 
 
 def check_work(n: int, prec_bits: int, max_norm: int) -> int:
-    """The iteration cap of a search over n values, after refusing fewer than
-    two values, a max_norm below 1, and a search whose cap times n * (n + r)
-    is past MAX_PSLQ_WORK: each iteration touches n^2 row entries and n
-    full-width ones, each costing r = (prec_bits/256)^2 when n > 2 (a
-    rotation) and r = (prec_bits/1024)^2 when n = 2 (a pair never rotates,
-    but squares a full-width diagonal and reduces a full-width row)."""
+    """The swap cap of a search over n values (one swap an iteration below 8
+    values), after refusing fewer than two values, a max_norm below 1, and a
+    search whose cap times n * (n + r) is past MAX_PSLQ_WORK: each swap costs
+    about n^2 row entries and n full-width ones, each costing
+    r = (prec_bits/256)^2 when n > 2 (a rotation) and r = (prec_bits/1024)^2
+    when n = 2 (a pair never rotates, but squares a full-width diagonal and
+    reduces a full-width row)."""
     if n < 2:
         raise ValueError("need at least two values")
     if max_norm < 1:
@@ -125,7 +137,8 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
         for j in range(i):
             H[i][j] = (-(y[i] * y[j]) << f) // (s[j] * s[j + 1])
 
-    B = [[int(i == j) for j in range(n)] for i in range(n)]  # B[j]: column j of the transform
+    B = _PackedColumns(n)  # the columns of the transform
+    add = B.add
 
     # gamma^2 = 4/3; compare w_i = 4^i 3^(n-1-i) H_ii^2 exactly
     scale = [4**i * 3 ** (n - 1 - i) for i in range(n - 1)]
@@ -143,7 +156,7 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
 
     def reduce_row(i: int, top: int, j_stop: int = 0) -> None:
         # Until a non-zero t changes row i, its quotients below column j_stop are 0.
-        hi, bi = H[i], B[i]
+        hi = H[i]
         for j in range(top, -1, -1):
             a = hi[j]
             lo1, lo, up, up1, pos = ranges[j]
@@ -157,17 +170,17 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
                 t = (2 * a + hj[j]) // (2 * hj[j])  # the nearest integer to a/H_jj, halves up
                 y[j] += t * y[i]
                 hi[: j + 1] = [u - t * v for u, v in zip(hi, hj[: j + 1])]
-                B[j] = [u + t * v for u, v in zip(B[j], bi)]
+                add(j, i, t)
             elif (a > up) == pos:  # t = 1
                 y[j] += y[i]
                 for k in range(j + 1):
                     hi[k] -= hj[k]
-                B[j] = list(map(add, B[j], bi))
+                add(j, i, 1)
             else:  # t = -1
                 y[j] -= y[i]
                 for k in range(j + 1):
                     hi[k] += hj[k]
-                B[j] = list(map(sub, B[j], bi))
+                add(j, i, -1)
 
     for j in range(n - 1):
         refresh(j)
@@ -180,30 +193,33 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
     detect = 1 << 80  # y mantissa below 2^(80-f): try the candidate column
     g = f + 64  # the rotation's guard bits
 
-    for iteration in range(1, max_iter + 1):
-        m = w.index(max(w))  # the first maximum
-        y[m], y[m + 1] = y[m + 1], y[m]
-        H[m], H[m + 1] = H[m + 1], H[m]
-        B[m], B[m + 1] = B[m + 1], B[m]
+    most = _pair_count(n)
+    cap = -(-max_iter // most)  # max_iter counts swaps
+    for iteration in range(1, cap + 1):
+        picks = _pick_pairs(w, most)
+        for m in picks:  # disjoint pairs: no swap or rotation moves another pair's corner
+            y[m], y[m + 1] = y[m + 1], y[m]
+            H[m], H[m + 1] = H[m + 1], H[m]
+            B.swap(m)
+            if m < n - 2:
+                hmm, hmm1 = H[m][m], H[m][m + 1]
+                t0 = isqrt(hmm * hmm + hmm1 * hmm1)
+                if t0 == 0:
+                    raise PrecisionExhausted("vanishing corner during rotation")
+                cos, sin = (hmm << g) // t0, (hmm1 << g) // t0
+                c_s, s_c = cos - sin, -sin - cos
+                for hi in H[m:]:
+                    a, b = hi[m], hi[m + 1]
+                    k = cos * (a + b)
+                    hi[m] = (k - b * c_s) >> g
+                    hi[m + 1] = (k + a * s_c) >> g
+                H[m][m + 1] = 0
+            for j in range(m, min(m + 2, n - 1)):  # the only diagonals that moved
+                refresh(j)
 
-        if m < n - 2:
-            hmm, hmm1 = H[m][m], H[m][m + 1]
-            t0 = isqrt(hmm * hmm + hmm1 * hmm1)
-            if t0 == 0:
-                raise PrecisionExhausted("vanishing corner during rotation")
-            cos, sin = (hmm << g) // t0, (hmm1 << g) // t0
-            c_s, s_c = cos - sin, -sin - cos
-            for hi in H[m:]:
-                a, b = hi[m], hi[m + 1]
-                k = cos * (a + b)
-                hi[m] = (k - b * c_s) >> g
-                hi[m + 1] = (k + a * s_c) >> g
-            H[m][m + 1] = 0
-        for j in range(m, min(m + 2, n - 1)):  # the only diagonals that moved
-            refresh(j)
-
-        for i in range(m + 1, n):
-            reduce_row(i, min(i - 1, m + 1), m)
+        low, high = min(picks), max(picks)
+        for i in range(low + 1, n):
+            reduce_row(i, min(i - 1, high + 1), low)
 
         # any relation has euclidean norm at least 1 / max_j |H_jj|
         bound = one // max(diag)
@@ -214,7 +230,7 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
             for size, idx in ranked if min_abs < noise_floor else ranked[:1]:
                 if size >= detect:
                     break
-                coeffs = primitive(B[idx])[1]
+                coeffs = primitive(B.column(idx))[1]
                 if coeffs in refused:  # _confirm is deterministic: it would refuse it again
                     continue
                 residual = _confirm(coeffs, values, prec_bits)
@@ -229,7 +245,7 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
         if bound > max_norm:
             return PslqReport(None, bound, iteration)
 
-    raise PrecisionExhausted(f"no decision after {max_iter} iterations")
+    raise PrecisionExhausted(f"no decision after {cap} iterations ({max_iter} swaps)")
 
 
 def _quotient_ranges(b: int) -> tuple[int, int, int, int, bool]:
@@ -238,3 +254,96 @@ def _quotient_ranges(b: int) -> tuple[int, int, int, int, bool]:
     d = abs(b)
     lo, hi = (-(d >> 1), (d - 1) >> 1) if b > 0 else (-((d - 1) >> 1), d >> 1)
     return lo - d, lo, hi, hi + d, b > 0
+
+
+def _pair_count(n: int) -> int:
+    """The most pairs one iteration swaps over n values: 1 below 8 values,
+    which keeps the single-pair iterates of short searches, and from 8 up
+    floor(2n/5), Bailey and Broadhurst's beta = 0.4 (floor(n/2) gave up at the
+    noise floor on planted relations that one pair finds at that precision)."""
+    return 2 * n // 5 if n >= 8 else 1
+
+
+def _pick_pairs(w: list[int], most: int) -> list[int]:
+    """Up to `most` disjoint pairs (m, m+1), given by m, taken greedily in
+    descending w_m; the first is w's first maximum.  A pair with w_m < w_m+1
+    is passed over: w_m >= w_m+1, which the first pick always meets, means
+    |H_mm| >= gamma |H_m+1,m+1|, and with |H_m+1,m| <= |H_mm| / 2 the swap
+    then cannot grow the diagonal at m."""
+    if most == 1:
+        return [w.index(max(w))]
+    last = len(w) - 1
+    taken = [False] * (len(w) + 1)
+    picks = []
+    for m in sorted(range(len(w)), key=w.__getitem__, reverse=True):  # stable: ties keep order
+        if not (taken[m] or taken[m + 1]) and (m == last or w[m] >= w[m + 1]):
+            taken[m] = taken[m + 1] = True
+            picks.append(m)
+            if len(picks) == most:
+                break
+    return picks
+
+
+def _pack(column: list[int], width: int) -> int:
+    """sum column[k] * 2^(width*k): one integer of width-bit signed fields."""
+    x = 0
+    for v in reversed(column):
+        x = (x << width) + v
+    return x
+
+
+def _unpack(x: int, n: int, width: int) -> list[int]:
+    """The n fields of _pack(column, width), each in [-2^(width-1), 2^(width-1))."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    x += _pack([half] * n, width)  # no field borrows now: each lies in [0, 2^width)
+    return [((x >> (width * k)) & mask) - half for k in range(n)]
+
+
+class _PackedColumns:
+    """n integer columns, each one _pack integer, so that col_j += t * col_i
+    is one big-integer multiply-add.  bounds[j] >= max |entry| of column j
+    grows by |t| * bounds[i] with each update and is kept below 2^(width-1),
+    where every field still unpacks: an update that would pass it first sets
+    every bound exactly from the unpacked columns, then doubles width
+    (repacking every column) while an exact bound, or the update's, reaches
+    2^(width-2)."""
+
+    __slots__ = ("n", "width", "half", "cols", "bounds")
+
+    def __init__(self, n: int) -> None:
+        """The identity."""
+        self.n, self.width, self.half = n, 64, 1 << 63
+        self.cols = [1 << (64 * j) for j in range(n)]
+        self.bounds = [1] * n
+
+    def column(self, j: int) -> list[int]:
+        return _unpack(self.cols[j], self.n, self.width)
+
+    def swap(self, m: int) -> None:
+        """Exchange columns m and m + 1."""
+        cols, bounds = self.cols, self.bounds
+        cols[m], cols[m + 1] = cols[m + 1], cols[m]
+        bounds[m], bounds[m + 1] = bounds[m + 1], bounds[m]
+
+    def add(self, j: int, i: int, t: int) -> None:
+        """col_j += t * col_i."""
+        bounds = self.bounds
+        grow = bounds[j] + abs(t) * bounds[i]
+        if grow >= self.half:
+            grow = self._refit(j, i, abs(t))
+        self.cols[j] += t * self.cols[i]
+        bounds[j] = grow
+
+    def _refit(self, j: int, i: int, size: int) -> int:
+        """Exact bounds, a wider field if they need it; the bound of col_j + size * col_i."""
+        columns = [self.column(k) for k in range(self.n)]
+        bounds = self.bounds
+        bounds[:] = [max(map(abs, c)) for c in columns]
+        grow = bounds[j] + size * bounds[i]
+        width = self.width
+        while max(grow, *bounds) >> (width - 2):
+            width *= 2
+        if width != self.width:
+            self.width, self.half = width, 1 << (width - 1)
+            self.cols = [_pack(c, width) for c in columns]
+        return grow

@@ -162,6 +162,18 @@ def test_usage_error_exit_code(capsys):
     assert "error" in err
 
 
+# rows whose message is checked too: 0 and -8 are multiples of the period 8,
+# but not positive ones
+USAGE_MESSAGES = {
+    ("gen", "--point", "ReLi(1, 1, 3/4)", "--len", "0"):
+        "target length 0 must be a positive multiple of the period 8",
+    ("gen", "--point", "ReLi(1, 1, 3/4)", "--len", "-8"):
+        "target length -8 must be a positive multiple of the period 8",
+    ("gen", "--point", "ReLi(1, 1, 3/4)", "--len", "5"):
+        "target length 5 is not a multiple of the period 8",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("eval",),
     ("digits", "--pos", "0", "--count", "8"),
@@ -178,11 +190,13 @@ def test_usage_error_exit_code(capsys):
     # an empty record id is a source, and no record has it
     ("eval", "--formula-id", ""),
     ("digits", "--formula-id", "", "--pos", "0", "--count", "8"),
+    *USAGE_MESSAGES,
 ])
 def test_usage_error_is_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("bbp: error: ")
+    assert USAGE_MESSAGES.get(argv, "") in err
 
 
 def test_unknown_record_exit_code(capsys):

@@ -14,8 +14,8 @@ from bbpkit.bigmath import FixReal
 from bbpkit.catalog import bits_for_digits, default_catalog, evaluate_expr, parse_expr
 from bbpkit.cli import MAX_DIGITS
 from bbpkit.reference import ConstMonomial, const_value
-from bbpkit.relations import (MAX_PSLQ_WORK, PrecisionExhausted, RelationResult, _quotient_ranges,
-                              check_work, pslq)
+from bbpkit.relations import (MAX_PSLQ_WORK, PrecisionExhausted, RelationResult, _PackedColumns,
+                              _pack, _pair_count, _pick_pairs, _quotient_ranges, check_work, pslq)
 
 
 def test_certify_pi_minus_pi():
@@ -150,8 +150,10 @@ def _seeded_values(seed: int, n: int, bits: int, planted: int) -> tuple[list[Fix
 
 
 # (seed, n, bits, planted, max_norm) -> (status, coeffs, exclusion_bound, iterations),
-# rows 0-19 recorded from the full (non-incremental) size reduction, rows 20-25
-# (rotations at width) from the rotation that divided every entry by t0
+# rows 0-11 recorded from the full (non-incremental) size reduction, rows 24 and 25
+# (rotations at width) from the rotation that divided every entry by t0, and rows
+# 12-23 (n >= 8) from the multi-pair iteration, which kept each row's status and
+# coefficient vector
 PINNED_SEARCHES = [
     (0, 2, 64, 0, 100, "excluded", None, 140, 3),
     (1, 2, 64, 1, 100, "found", (1, -1), 18446744073709551616, 1),
@@ -165,20 +167,20 @@ PINNED_SEARCHES = [
     (9, 6, 500, 9, 1000000, "found", (4, 9, -1, -7, -5, 1), 9, 52),
     (10, 7, 500, 0, 100000, "excluded", None, 105427, 318),
     (11, 7, 600, 30, 100000000, "found", (1, 2, -2, -24, -7, 18, 1), 10, 60),
-    (12, 8, 600, 0, 100000, "excluded", None, 108656, 468),
-    (13, 8, 700, 9, 100000000, "found", (4, 2, 5, 2, 4, 5, 7, 1), 2, 36),
-    (14, 9, 700, 0, 100000, "excluded", None, 102573, 620),
-    (15, 10, 800, 5, 100000000, "found", (5, -5, 3, 0, 2, 4, 0, -2, 0, 1), 4, 119),
-    (16, 10, 900, 0, 1000000, "excluded", None, 1071729, 960),
-    (17, 11, 1000, 3, 100000000, "found", (1, 2, -1, -3, -3, -2, 0, 3, 2, 0, -1), 3, 136),
-    (18, 12, 1000, 0, 100000, "excluded", None, 101839, 1270),
-    (19, 12, 1000, 4, 100000000, "found", (0, 2, 0, 3, 0, -2, -1, 0, 3, -1, 0, 1), 2, 129),
-    (20, 16, 466, 0, 10000, "excluded", None, 10338, 2018),
-    (21, 16, 466, 3, 1000000, "found", (1, -2, 3, -3, -3, -1, 1, 0, -3, -2, 3, 3, -2, -2, 2, -1), 3,
-     359),
-    (22, 24, 466, 0, 1000, "excluded", None, 1009, 3576),
+    (12, 8, 600, 0, 100000, "excluded", None, 110942, 124),
+    (13, 8, 700, 9, 100000000, "found", (4, 2, 5, 2, 4, 5, 7, 1), 3, 15),
+    (14, 9, 700, 0, 100000, "excluded", None, 118381, 190),
+    (15, 10, 800, 5, 100000000, "found", (5, -5, 3, 0, 2, 4, 0, -2, 0, 1), 5, 27),
+    (16, 10, 900, 0, 1000000, "excluded", None, 1121062, 207),
+    (17, 11, 1000, 3, 100000000, "found", (1, 2, -1, -3, -3, -2, 0, 3, 2, 0, -1), 2, 23),
+    (18, 12, 1000, 0, 100000, "excluded", None, 102000, 288),
+    (19, 12, 1000, 4, 100000000, "found", (0, 2, 0, 3, 0, -2, -1, 0, 3, -1, 0, 1), 2, 35),
+    (20, 16, 466, 0, 10000, "excluded", None, 10582, 309),
+    (21, 16, 466, 3, 1000000, "found", (1, -2, 3, -3, -3, -1, 1, 0, -3, -2, 3, 3, -2, -2, 2, -1), 5,
+     73),
+    (22, 24, 466, 0, 1000, "excluded", None, 1027, 380),
     (23, 24, 466, 2, 1000000, "found",
-     (2, 2, 2, -1, -1, 2, -2, -1, 0, 2, 1, 2, -2, 0, 1, -2, 1, 0, -2, 0, -2, 0, 0, 1), 3, 1011),
+     (2, 2, 2, -1, -1, 2, -2, -1, 0, 2, 1, 2, -2, 0, 1, -2, 1, 0, -2, 0, -2, 0, 0, 1), 2, 85),
     (24, 3, 10000, 0, 1000000, "excluded", None, 1086156, 29),
     (25, 3, 10000, 100, 1000000, "found", (97, 46, 1), 93, 5),
 ]
@@ -197,7 +199,7 @@ def test_pslq_iterates_are_pinned(seed, n, bits, planted, max_norm, status, coef
 
 
 def test_each_candidate_is_confirmed_once(monkeypatch):
-    # the search turns down 228 distinct columns of B, met 636 times, and gives up
+    # the search turns down 85 distinct columns of B, met 89 times, and gives up
     calls = []
     confirm = bbpkit.relations._confirm
 
@@ -209,7 +211,7 @@ def test_each_candidate_is_confirmed_once(monkeypatch):
     vals, _ = _seeded_values(33, 24, 466, 0)
     with pytest.raises(PrecisionExhausted, match="noise floor"):
         pslq(vals, 10**6, 466)
-    assert len(calls) == len(set(calls)) == 228
+    assert len(calls) == len(set(calls)) == 85
 
 
 # -- the per-iteration rules against the code they replaced ------------------
@@ -266,6 +268,68 @@ def test_planted_relations_are_found_and_never_excluded(seed, n, bits, height, m
     if max_norm * max_norm >= norm2 and bits >= n * max(map(abs, c)).bit_length() + 64:
         assert rep is not None and rep.status == "found"
         assert sum(ci * v.mantissa for ci, v in zip(rep.relation.coeffs, vals)) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=30).flatmap(
+    lambda n: st.lists(st.integers(min_value=1, max_value=6), min_size=n - 1, max_size=n - 1)))
+def test_pairs_are_disjoint_and_picked_greedily(w):
+    n = len(w) + 1
+    most = _pair_count(n)
+    picks = _pick_pairs(w, most)
+    assert picks[0] == w.index(max(w))
+    assert len(picks) == 1 if n < 8 else 1 <= len(picks) <= 2 * n // 5
+    rows = [r for m in picks for r in (m, m + 1)]
+    assert len(rows) == len(set(rows))
+    # each pick is the first maximum of the pairs free of earlier picks whose
+    # swap cannot grow their diagonal
+    for k, m in enumerate(picks + [None]):
+        free = [j for j in range(n - 1) if all(abs(j - p) > 1 for p in picks[:k])
+                and (j == n - 2 or w[j] >= w[j + 1])]
+        if m is None:
+            assert len(picks) == most or not free
+        else:
+            assert m == max(free, key=lambda j: (w[j], -j))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=8).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(min_value=-(1 << 40), max_value=1 << 40), min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.lists(st.tuples(st.integers(min_value=0, max_value=n - 1),
+                       st.integers(min_value=0, max_value=n - 1),
+                       st.integers(min_value=-(1 << 80), max_value=1 << 80)),
+             min_size=1, max_size=30))))
+def test_packed_columns_follow_the_list_arithmetic(case):
+    plain, ops = case
+    n = len(plain)
+    j0, i0, t0 = ops[0]
+    assume(any(plain[i0]))
+    packed = _PackedColumns(n)
+    packed.cols = [_pack(c, packed.width) for c in plain]
+    packed.bounds = [max(map(abs, c)) for c in plain]
+    big = 1 << 70  # the first update needs fields past 2^71 bits: one widening or more
+    ops[0] = (j0 if j0 != i0 else (i0 + 1) % n, i0, big if t0 >= 0 else -big)
+    for j, i, t in ops:
+        if i == j:  # a swap of columns i and i + 1 (wrapping at the end to 0 and 1)
+            m = min(i, n - 2)
+            packed.swap(m)
+            plain[m], plain[m + 1] = plain[m + 1], plain[m]
+        else:
+            packed.add(j, i, t)
+            plain[j] = [u + t * v for u, v in zip(plain[j], plain[i])]
+        assert [packed.column(k) for k in range(n)] == plain
+        assert all(max(map(abs, c)) <= b < 1 << (packed.width - 1)
+                   for c, b in zip(plain, packed.bounds))
+    assert packed.width >= 128
+
+
+def test_the_iteration_cap_counts_swaps(monkeypatch):
+    # an n = 12 search swaps up to 4 pairs an iteration, and this one is found at iteration 35
+    monkeypatch.setattr(bbpkit.relations, "check_work", lambda n, bits, max_norm: 40)
+    vals, _ = _seeded_values(19, 12, 1000, 4)
+    with pytest.raises(PrecisionExhausted, match=r"no decision after 10 iterations \(40 swaps\)"):
+        pslq(vals, 10**8, 1000)
 
 
 # -- the work cap -------------------------------------------------------------
