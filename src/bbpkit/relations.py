@@ -3,16 +3,15 @@
 The standard PSLQ (weighted diagonal row selection with gamma = 2/sqrt(3),
 corner Givens rotation, Hermite-style size reduction) over big integers with
 f = prec_bits fraction bits, in its multi-pair form (Bailey & Broadhurst,
-Math. Comp. 70, 2001) from 8 values up: an iteration swaps up to
-floor(2n/5) disjoint pairs (m, m+1), picked greedily in descending
-w_m = gamma^2m H_mm^2 from w's first maximum and passing over any pair with
-w_m < w_m+1.  Below 8 values it swaps the first maximum's pair alone.  Each
-picked corner is rotated: cos = floor(H_mm 2^g / t0) and
-sin = floor(H_m,m+1 2^g / t0) are taken once, g = f + 64, and give row
-i >= m, for a = H_im, b = H_i,m+1 and k = cos (a + b),
-H_im = (k - b (cos - sin)) >> g and H_i,m+1 = (k + a (-sin - cos)) >> g.  An
-entry differs from the exact floor((a H_mm + b H_m,m+1) / t0), or its
-partner, only when that quotient lies within (|a| + |b|) 2^-g of an integer.
+Math. Comp. 70, 2001): an iteration swaps up to max(1, floor(2n/5)) disjoint
+pairs (m, m+1), picked greedily in descending w_m = gamma^2m H_mm^2 from w's
+first maximum and passing over any pair with w_m < w_m+1.  Each picked
+corner is rotated: cos = floor(H_mm 2^g / t0) and sin = floor(H_m,m+1 2^g / t0)
+are taken once, g = f + 64, and give row i >= m, for a = H_im, b = H_i,m+1
+and k = cos (a + b), H_im = (k - b (cos - sin)) >> g and
+H_i,m+1 = (k + a (-sin - cos)) >> g.  An entry differs from the exact
+floor((a H_mm + b H_m,m+1) / t0), or its partner, only when that quotient
+lies within (|a| + |b|) 2^-g of an integer.
 Disjoint pairs swap disjoint rows and rotate disjoint columns, so their
 order does not matter.
 Size reduction is then one flat pass over the rows below the lowest pair l,
@@ -42,7 +41,7 @@ from .bigmath import FixReal, primitive
 __all__ = ["RelationResult", "PslqReport", "PrecisionExhausted", "pslq", "check_work",
            "MAX_PSLQ_WORK"]
 
-# swap cap * n * (n + r) of one search, r as in check_work: about 145 to 370 ns a unit
+# swap cap * n * (n + r) of one search, r as in check_work: about 110 to 1500 ns a unit
 MAX_PSLQ_WORK = 1 << 32
 
 
@@ -72,13 +71,12 @@ class PslqReport:
 
 
 def check_work(n: int, prec_bits: int, max_norm: int) -> int:
-    """The swap cap of a search over n values (one swap an iteration below 8
-    values), after refusing fewer than two values, a max_norm below 1, and a
-    search whose cap times n * (n + r) is past MAX_PSLQ_WORK: each swap costs
-    about n^2 row entries and n full-width ones, each costing
-    r = (prec_bits/256)^2 when n > 2 (a rotation) and r = (prec_bits/1024)^2
-    when n = 2 (a pair never rotates, but squares a full-width diagonal and
-    reduces a full-width row)."""
+    """The swap cap of a search over n values, after refusing fewer than two
+    values, a max_norm below 1, and a search whose cap times n * (n + r) is
+    past MAX_PSLQ_WORK: each swap costs about n^2 row entries and n
+    full-width ones, each costing r = (prec_bits/256)^2 when n > 2 (a
+    rotation) and r = (prec_bits/1024)^2 when n = 2 (a pair never rotates,
+    but squares a full-width diagonal and reduces a full-width row)."""
     if n < 2:
         raise ValueError("need at least two values")
     if max_norm < 1:
@@ -257,11 +255,10 @@ def _quotient_ranges(b: int) -> tuple[int, int, int, int, bool]:
 
 
 def _pair_count(n: int) -> int:
-    """The most pairs one iteration swaps over n values: 1 below 8 values,
-    which keeps the single-pair iterates of short searches, and from 8 up
-    floor(2n/5), Bailey and Broadhurst's beta = 0.4 (floor(n/2) gave up at the
+    """The most pairs one iteration swaps over n values: floor(2n/5), Bailey
+    and Broadhurst's beta = 0.4, and at least one (floor(n/2) gave up at the
     noise floor on planted relations that one pair finds at that precision)."""
-    return 2 * n // 5 if n >= 8 else 1
+    return max(1, 2 * n // 5)
 
 
 def _pick_pairs(w: list[int], most: int) -> list[int]:

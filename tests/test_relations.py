@@ -150,9 +150,9 @@ def _seeded_values(seed: int, n: int, bits: int, planted: int) -> tuple[list[Fix
 
 
 # (seed, n, bits, planted, max_norm) -> (status, coeffs, exclusion_bound, iterations),
-# rows 0-11 recorded from the full (non-incremental) size reduction, rows 24 and 25
+# rows 0-5 recorded from the full (non-incremental) size reduction, rows 24 and 25
 # (rotations at width) from the rotation that divided every entry by t0, and rows
-# 12-23 (n >= 8) from the multi-pair iteration, which kept each row's status and
+# 6-23 (n >= 5) from the multi-pair iteration, which kept each row's status and
 # coefficient vector
 PINNED_SEARCHES = [
     (0, 2, 64, 0, 100, "excluded", None, 140, 3),
@@ -161,12 +161,12 @@ PINNED_SEARCHES = [
     (3, 3, 128, 5, 1000, "found", (3, -3, -1), 3, 5),
     (4, 4, 200, 0, 10000, "excluded", None, 10524, 58),
     (5, 4, 256, 20, 1000000, "found", (2, 13, -19, -1), 12, 12),
-    (6, 5, 300, 0, 10000, "excluded", None, 10427, 108),
-    (7, 5, 400, 50, 1000000, "found", (44, 41, -18, 38, 1), 67, 29),
-    (8, 6, 400, 0, 10000, "excluded", None, 10990, 172),
-    (9, 6, 500, 9, 1000000, "found", (4, 9, -1, -7, -5, 1), 9, 52),
-    (10, 7, 500, 0, 100000, "excluded", None, 105427, 318),
-    (11, 7, 600, 30, 100000000, "found", (1, 2, -2, -24, -7, 18, 1), 10, 60),
+    (6, 5, 300, 0, 10000, "excluded", None, 10127, 50),
+    (7, 5, 400, 50, 1000000, "found", (44, 41, -18, 38, 1), 67, 19),
+    (8, 6, 400, 0, 10000, "excluded", None, 10990, 84),
+    (9, 6, 500, 9, 1000000, "found", (4, 9, -1, -7, -5, 1), 7, 19),
+    (10, 7, 500, 0, 100000, "excluded", None, 105427, 143),
+    (11, 7, 600, 30, 100000000, "found", (1, 2, -2, -24, -7, 18, 1), 22, 39),
     (12, 8, 600, 0, 100000, "excluded", None, 110942, 124),
     (13, 8, 700, 9, 100000000, "found", (4, 2, 5, 2, 4, 5, 7, 1), 3, 15),
     (14, 9, 700, 0, 100000, "excluded", None, 118381, 190),
@@ -247,7 +247,7 @@ def test_quotient_ranges_hold_exactly_the_small_quotients(a, b):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=1 << 32), st.integers(min_value=2, max_value=6),
+@given(st.integers(min_value=0, max_value=1 << 32), st.integers(min_value=2, max_value=9),
        st.integers(min_value=64, max_value=2000), st.integers(min_value=1, max_value=1000),
        st.integers(min_value=1, max_value=4096))
 @example(2, 2, 166, 1, 10**6)  # the pair (v, -v)
@@ -263,8 +263,9 @@ def test_planted_relations_are_found_and_never_excluded(seed, n, bits, height, m
         rep = None
     if rep is not None and rep.status == "excluded":
         assert rep.exclusion_bound ** 2 < norm2
-    # measured over 3000 seeded searches (n from 2 to 8, |c_i| up to 10^4): every
-    # search that gave up had bits <= n * bit_length(max |c_i|) + 44
+    # measured over 12000 searches seeded from 11 (n from 2 to 9, |c_i| up to 10^4,
+    # bits from n * bit_length(max |c_i|) + 30 to + 264): every search that gave up
+    # had bits <= n * bit_length(max |c_i|) + 54
     if max_norm * max_norm >= norm2 and bits >= n * max(map(abs, c)).bit_length() + 64:
         assert rep is not None and rep.status == "found"
         assert sum(ci * v.mantissa for ci, v in zip(rep.relation.coeffs, vals)) == 0
@@ -278,7 +279,7 @@ def test_pairs_are_disjoint_and_picked_greedily(w):
     most = _pair_count(n)
     picks = _pick_pairs(w, most)
     assert picks[0] == w.index(max(w))
-    assert len(picks) == 1 if n < 8 else 1 <= len(picks) <= 2 * n // 5
+    assert 1 <= len(picks) <= most == max(1, 2 * n // 5)
     rows = [r for m in picks for r in (m, m + 1)]
     assert len(rows) == len(set(rows))
     # each pick is the first maximum of the pairs free of earlier picks whose
