@@ -67,9 +67,7 @@ def truncated_decimal(num: int, den: int, digits: int, frac_bits: int = 0) -> st
 
     A value that truncates to zero prints without a sign.
     """
-    scaled = abs(num) * 10**digits >> frac_bits
-    if den != 1:
-        scaled //= den
+    scaled = (abs(num) * 10**digits >> frac_bits) // den
     ip, fp = divmod(scaled, 10**digits)
     sign = "-" if num < 0 and scaled else ""
     return f"{sign}{ip}.{fp:0{digits}d}"

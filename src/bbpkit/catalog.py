@@ -176,8 +176,6 @@ def evaluate_expr(expr: LinearExpr, prec_bits: int) -> FixReal:
     # built per call, so a wrapper later bound over one of these module names is called
     term_value = {PFormula: evaluate, LiPoint: li_point_value, ConstMonomial: const_value}
     for coeff, term in expr.terms:
-        if coeff == 0:
-            continue
         value_of = term_value.get(type(term))
         if value_of is None:
             raise CatalogError(f"unknown term type {type(term).__name__}")

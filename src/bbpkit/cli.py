@@ -43,8 +43,6 @@ def format_bound(bound: Fraction) -> str:
     """A non-negative bound as ``d.ddde+XX``, rounded up: never below the bound,
     never zero for a positive one (``float`` would round to nearest and
     underflow past 1e-308)."""
-    if bound <= 0:
-        return "0.000e+00"
     d = _BOUND.divide(Decimal(bound.numerator), Decimal(bound.denominator))
     e = d.adjusted()
     return f"{d.scaleb(-e, _BOUND):.3f}e{e:+03d}"

@@ -140,10 +140,7 @@ def serialize_li_point(pt: LiPoint) -> str:
 
 def period(pt: LiPoint) -> int:
     """Smallest L with exp(i*L*x) = 1 and q*L even, so p^L is a power of two."""
-    if pt.ang_num == 0:
-        base = 1
-    else:
-        base = 2 * pt.ang_den // gcd(pt.ang_num, 2 * pt.ang_den)
+    base = 2 * pt.ang_den // gcd(pt.ang_num, 2 * pt.ang_den)  # 1 at angle zero (d = 1)
     return base if (pt.scale_exp * base) % 2 == 0 else 2 * base
 
 
@@ -156,11 +153,12 @@ def part_formulas(pt: LiPoint, length: int) -> list[tuple[int, PFormula]]:
     2^(-q*k/2) as sqrt(2) * 2^(-(q*k+1)/2), which maps (c, 2) to (2c, 1) and
     (c, 1) to (c, 2).  The integers c << (B - q*k/2) with root r form one
     canonical P(s, 2^B, length, A) with prefactor 1/2^(B+1), and the point is
-    the sum of sqrt(root) * formula over the list.  A table longer than
-    MAX_TABLE_BITS, its coefficients taken as wide as its base, raises
-    PointError before any term is built.
+    the sum of sqrt(root) * formula over the list.  A length that is not an
+    int, or a table longer than MAX_TABLE_BITS, its coefficients taken as wide
+    as its base, raises PointError before any term is built.
     """
-    length = int(length)
+    if not isinstance(length, int):
+        raise PointError(f"target length {length!r} is not an integer")
     per = period(pt)
     if length < 1:
         raise PointError(

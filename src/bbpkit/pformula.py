@@ -142,7 +142,7 @@ class Scanner:
     """Cursor over the tokens of one text: integers, names and punctuation.
 
     The text is tokenized up front; the empty token marks its end.  Token
-    positions, needed only by error messages, are found when first asked for.
+    positions, needed only by error messages, are found when one is asked for.
     """
 
     def __init__(self, text: str):
@@ -152,7 +152,6 @@ class Scanner:
         self.text = text
         self.tokens = _TOKEN.findall(text) + [""]
         self.i = 0
-        self._starts: list[int] | None = None
 
     def peek(self) -> str:
         return self.tokens[self.i]
@@ -173,9 +172,7 @@ class Scanner:
 
     def position(self, index: int) -> int:
         """Offset in the text of token ``index``."""
-        if self._starts is None:
-            self._starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
-        return self._starts[index]
+        return ([m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)])[index]
 
     def fail(self, message: str) -> ParseError:
         tok = self.tokens[self.i]
@@ -325,7 +322,7 @@ def stretch(p: PFormula, t: int) -> PFormula:
     """Dilate indices by t: length t*l, entries at multiples of t, prefactor * t^degree."""
     if t < 1:
         raise FormulaError("stretch factor must be positive")
-    if t == 1 or p.is_zero():
+    if t == 1:
         return p
     check_table(t * p.length, p.base_exp, _coeff_bits(p))
     coeffs = [0] * (t * p.length)
@@ -340,7 +337,7 @@ def rebase(p: PFormula, m: int) -> PFormula:
     """Group m consecutive base blocks: base exponent m*B, length m*l, equal value."""
     if m < 1:
         raise FormulaError("rebase factor must be positive")
-    if m == 1 or p.is_zero():
+    if m == 1:
         return p
     check_table(m * p.length, m * p.base_exp, _coeff_bits(p))
     coeffs = []
@@ -357,17 +354,15 @@ def align(ps: Sequence[PFormula]) -> list[PFormula]:
     The common base exponent is the lcm of the inputs' base exponents (reached
     by rebase); the common length is then the lcm of the rebased lengths
     (reached by stretch).  Both check their output against MAX_TABLE_BITS
-    before building it.
+    before building it.  A zero formula takes no part in the common header and
+    is returned as given.
     """
     if not ps:
         return []
     degrees = {p.degree for p in ps}
     if len(degrees) != 1:
         raise FormulaError(f"degree mismatch: {sorted(degrees)}")
-    nonzero = [p for p in ps if not p.is_zero()]
-    if not nonzero:
-        return list(ps)
-    common_b = lcm(*(p.base_exp for p in nonzero))
+    common_b = lcm(*(p.base_exp for p in ps if not p.is_zero()))
     rebased = [p if p.is_zero() else rebase(p, common_b // p.base_exp) for p in ps]
     common_l = lcm(*(p.length for p in rebased if not p.is_zero()))
     return [p if p.is_zero() else stretch(p, common_l // p.length) for p in rebased]

@@ -14,16 +14,13 @@ floor((a H_mm + b H_m,m+1) / t0), or its partner, only when that quotient
 lies within (|a| + |b|) 2^-g of an integer.
 Disjoint pairs swap disjoint rows and rotate disjoint columns, so their
 order does not matter.
-Size reduction is then one flat pass over the rows below the lowest pair l,
-each from column min(i - 1, h + 1) down, h the highest pair; the quotient t
-is read off the ranges kept with H_jj where it is 0, 1 or -1, and a unit t
-adds or subtracts rows.  After the first, a row stops below column l unless
-a non-zero quotient at or above l changed it, since no other diagonal and,
-in rows below l, no entry left of column l moved.  Each column of B is one
-integer of W-bit signed fields (_PackedColumns, W = 64 at first, doubled
-when a column's entries need it), so a reduction step updates a column with
-one big-integer multiply-add.  The iteration cap counts swaps: check_work's
-cap over the most pairs an iteration may swap.  Candidate relations
+Size reduction is then one pass over every row, each from its rightmost
+column down; the quotient t is read off the ranges kept with H_jj where it
+is 0, 1 or -1, and a unit t adds or subtracts rows.  Each column of B is
+one integer of W-bit signed fields (_PackedColumns, W = 64 at first,
+doubled when a column's entries need it), so a reduction step updates a
+column with one big-integer multiply-add.  The iteration cap counts swaps:
+check_work's cap over the most pairs an iteration may swap.  Candidate relations
 (columns of B) are confirmed, each once, by an exact certified
 re-evaluation, so rounding can delay but never corrupt a result.  Any
 relation has norm at least 1 / max |H_jj|; the one bound 2^f // max |H_jj|
@@ -91,8 +88,7 @@ def check_work(n: int, prec_bits: int, max_norm: int) -> int:
 def _confirm(coeffs: tuple[int, ...], values: list[FixReal], prec_bits: int) -> FixReal | None:
     total = FixReal.zero(prec_bits)
     for c, v in zip(coeffs, values):
-        if c:
-            total = total + v.scale_rat(Fraction(c), prec_bits)
+        total = total + v.scale_rat(Fraction(c), prec_bits)
     # a residual whose interval excludes 0 proves the relation false
     if total.certified_sign() == 0 and total.certified_below(Fraction(1, 1 << (prec_bits // 2))):
         return total
@@ -152,38 +148,35 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
         diag[j] = abs(hjj)
         ranges[j] = _quotient_ranges(hjj)
 
-    def reduce_row(i: int, top: int, j_stop: int = 0) -> None:
-        # Until a non-zero t changes row i, its quotients below column j_stop are 0.
-        hi = H[i]
-        for j in range(top, -1, -1):
-            a = hi[j]
-            lo1, lo, up, up1, pos = ranges[j]
-            if lo <= a <= up:
-                if j <= j_stop:
-                    return
-                continue
-            j_stop = 0
-            hj = H[j]
-            if not lo1 <= a <= up1:
-                t = (2 * a + hj[j]) // (2 * hj[j])  # the nearest integer to a/H_jj, halves up
-                y[j] += t * y[i]
-                hi[: j + 1] = [u - t * v for u, v in zip(hi, hj[: j + 1])]
-                add(j, i, t)
-            elif (a > up) == pos:  # t = 1
-                y[j] += y[i]
-                for k in range(j + 1):
-                    hi[k] -= hj[k]
-                add(j, i, 1)
-            else:  # t = -1
-                y[j] -= y[i]
-                for k in range(j + 1):
-                    hi[k] += hj[k]
-                add(j, i, -1)
+    def size_reduce() -> None:
+        """Every H_ij, j < i, to a zero quotient against H_jj, each row from its right."""
+        for i in range(1, n):
+            hi = H[i]
+            for j in range(i - 1, -1, -1):
+                a = hi[j]
+                lo1, lo, up, up1, pos = ranges[j]
+                if lo <= a <= up:
+                    continue
+                hj = H[j]
+                if not lo1 <= a <= up1:
+                    t = (2 * a + hj[j]) // (2 * hj[j])  # the nearest integer to a/H_jj, halves up
+                    y[j] += t * y[i]
+                    hi[: j + 1] = [u - t * v for u, v in zip(hi, hj[: j + 1])]
+                    add(j, i, t)
+                elif (a > up) == pos:  # t = 1
+                    y[j] += y[i]
+                    for k in range(j + 1):
+                        hi[k] -= hj[k]
+                    add(j, i, 1)
+                else:  # t = -1
+                    y[j] -= y[i]
+                    for k in range(j + 1):
+                        hi[k] += hj[k]
+                    add(j, i, -1)
 
     for j in range(n - 1):
         refresh(j)
-    for i in range(1, n):
-        reduce_row(i, i - 1)
+    size_reduce()
 
     one = 1 << f
     refused: set[tuple[int, ...]] = set()  # primitive candidates _confirm turned down
@@ -201,9 +194,9 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
             B.swap(m)
             if m < n - 2:
                 hmm, hmm1 = H[m][m], H[m][m + 1]
+                # t0 >= 1: H_m,m+1 is the old H_m+1,m+1, which refresh found non-zero and
+                # which no other (disjoint) pair and no size reduction has touched since
                 t0 = isqrt(hmm * hmm + hmm1 * hmm1)
-                if t0 == 0:
-                    raise PrecisionExhausted("vanishing corner during rotation")
                 cos, sin = (hmm << g) // t0, (hmm1 << g) // t0
                 c_s, s_c = cos - sin, -sin - cos
                 for hi in H[m:]:
@@ -215,9 +208,7 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
             for j in range(m, min(m + 2, n - 1)):  # the only diagonals that moved
                 refresh(j)
 
-        low, high = min(picks), max(picks)
-        for i in range(low + 1, n):
-            reduce_row(i, min(i - 1, high + 1), low)
+        size_reduce()
 
         # any relation has euclidean norm at least 1 / max_j |H_jj|
         bound = one // max(diag)
@@ -267,8 +258,6 @@ def _pick_pairs(w: list[int], most: int) -> list[int]:
     is passed over: w_m >= w_m+1, which the first pick always meets, means
     |H_mm| >= gamma |H_m+1,m+1|, and with |H_m+1,m| <= |H_mm| / 2 the swap
     then cannot grow the diagonal at m."""
-    if most == 1:
-        return [w.index(max(w))]
     last = len(w) - 1
     taken = [False] * (len(w) + 1)
     picks = []
@@ -301,9 +290,9 @@ class _PackedColumns:
     is one big-integer multiply-add.  bounds[j] >= max |entry| of column j
     grows by |t| * bounds[i] with each update and is kept below 2^(width-1),
     where every field still unpacks: an update that would pass it first sets
-    every bound exactly from the unpacked columns, then doubles width
-    (repacking every column) while an exact bound, or the update's, reaches
-    2^(width-2)."""
+    every bound exactly from the unpacked columns, doubles width while an
+    exact bound, or the update's, reaches 2^(width-2), and repacks every
+    column."""
 
     __slots__ = ("n", "width", "half", "cols", "bounds")
 
@@ -340,7 +329,6 @@ class _PackedColumns:
         width = self.width
         while max(grow, *bounds) >> (width - 2):
             width *= 2
-        if width != self.width:
-            self.width, self.half = width, 1 << (width - 1)
-            self.cols = [_pack(c, width) for c in columns]
+        self.width, self.half = width, 1 << (width - 1)
+        self.cols = [_pack(c, width) for c in columns]
         return grow

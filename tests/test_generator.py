@@ -141,6 +141,14 @@ def test_generate_rejects_non_multiple_length():
         generate(LiPoint(1, 1, 3, 4, "re"), 12)
 
 
+def test_a_length_that_is_not_an_int_is_refused():
+    pt = LiPoint(2, 1, 3, 4, "re")
+    with pytest.raises(PointError, match="16.5 is not an integer"):
+        part_formulas(pt, 16.5)
+    with pytest.raises(PointError, match="8.0 is not an integer"):
+        generate(pt, 8.0)
+
+
 def test_part_formulas_refuses_a_table_past_the_budget():
     pt = LiPoint(2, 2, 0, 1, "re")  # period 1: length L folds onto the base 2^L
     assert part_formulas(pt, 2896)  # 2896 * (2896 + 2896) is just inside 2^24

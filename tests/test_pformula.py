@@ -184,6 +184,12 @@ def test_rebase_layout():
     assert r.pre == Fraction(1, 16)
 
 
+def test_zero_formula_reaches_the_header_asked_for():
+    z = zero_formula(2)
+    assert stretch(z, 3).header == PHeader(2, 1, 3) and stretch(z, 3).is_zero()
+    assert rebase(z, 4).header == PHeader(2, 4, 4) and rebase(z, 4).is_zero()
+
+
 @pytest.mark.parametrize("factor", [2, 3, 5])
 def test_stretch_preserves_value(factor):
     p = parse_p("1/3 * P(2, 2^4, 3, [7, -2, 1])")
@@ -240,6 +246,14 @@ def test_align_single_input_unchanged():
 def test_align_shared_header_unchanged():
     ps = [parse_p("P(2, 2^4, 2, [1, 1])"), parse_p("P(2, 2^4, 2, [5, -3])")]
     assert align(ps) == ps
+
+
+def test_align_returns_a_zero_formula_as_given():
+    z = PFormula(2, 3, 1, (0,))
+    ps = [parse_p("P(2, 2^4, 2, [1, 1])"), z, parse_p("P(2, 2^2, 1, [1])")]
+    assert [p.header for p in align(ps)] == [(2, 4, 2), (2, 3, 1), (2, 4, 2)]
+    assert align(ps)[1] is z
+    assert align([z, zero_formula(2)]) == [z, zero_formula(2)]
 
 
 def test_align_empty_input():

@@ -214,6 +214,30 @@ def test_each_candidate_is_confirmed_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 85
 
 
+def test_a_noise_floor_give_up_confirms_only_the_columns_below_detect(monkeypatch):
+    # the planted relation, with the last value moved 2^40 ulps off it: its
+    # column of B collapses to |y| < 2^32 (the noise floor), its residual is
+    # certified non-zero, and the other three columns still have |y| >= 2^287.
+    # At the noise floor the search walks the columns in ascending |y| and
+    # stops at the first one at or above detect = 2^80; the columns of the
+    # unimodular B are independent, so one _confirm call in the whole search
+    # means the walk stopped at its second column.
+    calls = []
+    confirm = bbpkit.relations._confirm
+
+    def counted(coeffs, values, prec_bits):
+        calls.append(coeffs)
+        return confirm(coeffs, values, prec_bits)
+
+    monkeypatch.setattr(bbpkit.relations, "_confirm", counted)
+    vals, c = _seeded_values(7, 4, 300, 9)
+    mantissa, bits, err = vals[-1]
+    vals[-1] = FixReal(mantissa + (1 << 40), bits, err)
+    with pytest.raises(PrecisionExhausted, match="noise floor"):
+        pslq(vals, 10**6, bits)
+    assert c == [-8, -7, 8] and calls == [(8, 7, -8, 1)]
+
+
 # -- the per-iteration rules against the code they replaced ------------------
 
 def _nint_div(a: int, b: int) -> int:
