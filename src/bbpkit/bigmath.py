@@ -152,7 +152,7 @@ class FixReal(_Fields):
 
     # -- arithmetic ----------------------------------------------------
     #
-    # Addition, subtraction, negation and abs are exact; every step that can
+    # Addition, subtraction and negation are exact; every step that can
     # drop bits goes through ``_truncated``.
 
     def __neg__(self) -> "FixReal":
@@ -190,10 +190,6 @@ class FixReal(_Fields):
         """The value at ``out_bits`` fractional bits, by shifts only."""
         m, f, e = self
         return self if f == out_bits else _truncated(m, f - out_bits, out_bits, e)
-
-    def __abs__(self) -> "FixReal":
-        m, f, e = self
-        return _build(FixReal, (abs(m), f, e))
 
     # -- certified queries ----------------------------------------------
 

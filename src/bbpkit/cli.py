@@ -34,7 +34,7 @@ except (AttributeError, ValueError):
 __all__ = ["main", "format_bound", "MAX_DIGITS", "MAX_BITS", "EVAL_DOUBLINGS"]
 
 MAX_DIGITS = 100_000  # largest --digits
-MAX_BITS = bits_for_digits(MAX_DIGITS)  # largest --bits, and the most `eval` raises precision to
+MAX_BITS = bits_for_digits(MAX_DIGITS)  # the most `eval` raises precision to
 EVAL_DOUBLINGS = 6  # `eval` raises precision at most 2^6-fold past its starting bits
 _BOUND = Context(prec=4, rounding=ROUND_CEILING, Emin=MIN_EMIN, Emax=MAX_EMAX)  # any exponent
 
@@ -49,14 +49,9 @@ def format_bound(bound: Fraction) -> str:
 
 
 def _resolve_bits(args: argparse.Namespace, default_digits: int = 200) -> tuple[int, int]:
-    if args.bits is not None:
-        if not 1 <= args.bits <= MAX_BITS:
-            raise ValueError(f"--bits must be 1 to {MAX_BITS}")
-        digits = min(max(args.bits * 3 // 10, 16), MAX_DIGITS)
-    else:
-        digits = args.digits if args.digits is not None else default_digits
-        if not 16 <= digits <= MAX_DIGITS:
-            raise ValueError(f"precision must be 16 to {MAX_DIGITS} digits")
+    digits = args.digits if args.digits is not None else default_digits
+    if not 16 <= digits <= MAX_DIGITS:
+        raise ValueError(f"precision must be 16 to {MAX_DIGITS} digits")
     return bits_for_digits(digits), digits
 
 
@@ -205,11 +200,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--format", choices=("text", "json-lines"), default="text",
                      help="output format")
     precision = argparse.ArgumentParser(add_help=False)
-    group = precision.add_mutually_exclusive_group()
-    group.add_argument("--digits", type=int, default=None,
-                       help=f"decimal digits of precision (16 to {MAX_DIGITS})")
-    group.add_argument("--bits", type=int, default=None,
-                       help=f"binary precision (1 to {MAX_BITS})")
+    precision.add_argument("--digits", type=int, default=None,
+                           help=f"decimal digits of precision (16 to {MAX_DIGITS})")
 
     parser = _Parser(
         prog="bbp",

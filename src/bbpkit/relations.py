@@ -137,7 +137,6 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
     # gamma^2 = 4/3; compare w_i = 4^i 3^(n-1-i) H_ii^2 exactly
     scale = [4**i * 3 ** (n - 1 - i) for i in range(n - 1)]
     w = [0] * (n - 1)
-    diag = [0] * (n - 1)
     ranges = [(0, 0, 0, 0, True)] * (n - 1)  # _quotient_ranges(H_jj)
 
     def refresh(j: int) -> None:
@@ -145,7 +144,6 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
         if hjj == 0:
             raise PrecisionExhausted("vanishing diagonal during reduction")
         w[j] = scale[j] * hjj * hjj
-        diag[j] = abs(hjj)
         ranges[j] = _quotient_ranges(hjj)
 
     def size_reduce() -> None:
@@ -211,7 +209,7 @@ def pslq(values: list[FixReal], max_norm: int, prec_bits: int) -> PslqReport:
         size_reduce()
 
         # any relation has euclidean norm at least 1 / max_j |H_jj|
-        bound = one // max(diag)
+        bound = one // max(abs(H[j][j]) for j in range(n - 1))
         # detection: the smallest |y| column, and all below detect at the noise floor
         min_abs = min(map(abs, y))
         if min_abs < detect:

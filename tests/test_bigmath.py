@@ -255,7 +255,7 @@ def test_fixreal_ops_match_the_exact_rule(data):
     ea, eb = a.error_fraction(), b.error_fraction()
     f = max(a.frac_bits, b.frac_bits)
     for got, exact, err, out in ((a + b, xa + xb, ea + eb, f), (a - b, xa - xb, ea + eb, f),
-                                 (-a, -xa, ea, a.frac_bits), (abs(a), abs(xa), ea, a.frac_bits)):
+                                 (-a, -xa, ea, a.frac_bits)):
         assert _triple(got) == _rule(exact, err, out)
 
     out = _out_bits(data.draw, a.frac_bits + b.frac_bits)
@@ -326,7 +326,7 @@ def test_fixreal_is_a_value_with_only_its_own_operators():
     assert repr(x) == "FixReal(mantissa=5, frac_bits=3, err_ulp=1)"
     for op in (lambda: x < y, lambda: x <= y, lambda: x > y, lambda: x >= y,
                lambda: x * y, lambda: x * 2, lambda: 2 * x, lambda: x + (1,), lambda: (1,) + x,
-               lambda: x + 1, lambda: x - 1, lambda: (1,) < x):
+               lambda: x + 1, lambda: x - 1, lambda: (1,) < x, lambda: abs(x)):
         with pytest.raises(TypeError):
             op()
     for bad in ((1, -1, 0), (1, 0, -1)):

@@ -163,7 +163,7 @@ def test_usage_error_exit_code(capsys):
 
 
 # rows whose message is checked too: 0 and -8 are multiples of the period 8,
-# but not positive ones
+# but not positive ones; eval takes its precision in --digits only
 USAGE_MESSAGES = {
     ("gen", "--point", "ReLi(1, 1, 3/4)", "--len", "0"):
         "target length 0 must be a positive multiple of the period 8",
@@ -171,6 +171,7 @@ USAGE_MESSAGES = {
         "target length -8 must be a positive multiple of the period 8",
     ("gen", "--point", "ReLi(1, 1, 3/4)", "--len", "5"):
         "target length 5 is not a multiple of the period 8",
+    ("eval", "1 * pi", "--bits", "30"): "unrecognized arguments: --bits 30",
 }
 
 
@@ -338,28 +339,24 @@ def test_largest_degree_is_accepted(capsys):
 
 def test_precision_limits_exit_code(capsys):
     assert MAX_DIGITS >= 10_000  # verify-all --digits 10000 stays allowed
-    for flag, value, limit in (("--digits", 3_000_000, MAX_DIGITS),
-                               ("--digits", MAX_DIGITS + 1, MAX_DIGITS),
-                               ("--bits", MAX_BITS + 1, MAX_BITS),
-                               ("--bits", 0, MAX_BITS),
-                               ("--bits", -1000, MAX_BITS)):
-        code, out, err = run(capsys, "eval", "1 * pi", flag, str(value))
+    for value in (3_000_000, MAX_DIGITS + 1):
+        code, out, err = run(capsys, "eval", "1 * pi", "--digits", str(value))
         assert code == 2 and out == ""
-        assert err.count("\n") == 1 and str(limit) in err
+        assert err.count("\n") == 1 and str(MAX_DIGITS) in err
 
 
-@pytest.mark.parametrize("bits", [1, 119, MAX_BITS - 1, MAX_BITS])
-def test_resolved_bits_stay_within_both_limits(bits):
-    resolved, digits = bbpkit.cli._resolve_bits(argparse.Namespace(bits=bits, digits=None))
-    assert bits <= resolved <= MAX_BITS
-    assert 16 <= digits <= MAX_DIGITS
+@pytest.mark.parametrize("digits", [16, 200, MAX_DIGITS])
+def test_resolved_bits_stay_within_both_limits(digits):
+    resolved = bbpkit.cli._resolve_bits(argparse.Namespace(digits=digits))
+    assert resolved == (bits_for_digits(digits), digits)
+    assert resolved[0] <= MAX_BITS
 
 
 def test_rational_at_the_largest_bits_prints_the_largest_digits():
-    # in a child: a rational prints at once, 3 * MAX_BITS / 10 digits clamped to MAX_DIGITS
+    # in a child: a rational prints at once, all MAX_DIGITS of them
     src = os.path.dirname(os.path.dirname(os.path.abspath(bbpkit.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-m", "bbpkit.cli", "eval", "1/3", "--bits", str(MAX_BITS)],
+        [sys.executable, "-m", "bbpkit.cli", "eval", "1/3", "--digits", str(MAX_DIGITS)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout == "0." + "3" * MAX_DIGITS + "\n"
@@ -470,9 +467,9 @@ def test_digits_derives_a_record_once_and_a_changed_record_afresh(tmp_path, caps
     assert run(capsys, *argv) == first
 
 
-def test_eval_bits_prints_only_backed_digits(capsys):
-    # 10 bits alone would back 3 digits, not the 16 printed
-    code, out, _ = run(capsys, "eval", "1 * pi", "--bits", "10")
+def test_eval_least_digits_prints_only_backed_digits(capsys):
+    # the fewest digits allowed, each backed by the bits they resolve to
+    code, out, _ = run(capsys, "eval", "1 * pi", "--digits", "16")
     assert code == 0
     assert out.strip() == "3.1415926535897932"
 

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bbpkit
 from bbpkit.catalog import MAX_MONOMIAL_POWER, bits_for_digits, default_catalog
-from bbpkit.cli import MAX_BITS, MAX_DIGITS
+from bbpkit.cli import MAX_DIGITS
 from bbpkit.extractor import MAX_BIT_POS, MAX_GUARD_HEX, MAX_HEX_DIGITS
 from bbpkit.pformula import MAX_DEGREE, MAX_POWER_BITS
 from bbpkit.relations import check_work
@@ -42,7 +42,6 @@ def _slots(cap: int, *past: int) -> st.SearchStrategy[int]:
 
 
 DIGITS = _slots(999, 15, MAX_DIGITS + 1)
-BITS = _slots(4096, MAX_BITS + 1)
 DEGREE = _slots(MAX_DEGREE, MAX_DEGREE + 1)
 SMALL = _slots(1 << 12, MAX_POWER_BITS, MAX_POWER_BITS + 1)
 
@@ -112,14 +111,11 @@ def _expr(max_terms: int = 2) -> st.SearchStrategy[str]:
 
 @st.composite
 def _precision(draw) -> list[str]:
-    flag = draw(st.sampled_from(["", "--digits", "--bits"]))
-    if not flag:
-        return []
-    return [flag, str(draw(DIGITS if flag == "--digits" else BITS))]
+    return ["--digits", str(draw(DIGITS))] if draw(st.booleans()) else []
 
 
-# argv that argparse refuses: a flag no subcommand takes, both precisions, a
-# non-integer position, a choice outside its list
+# argv that argparse refuses: flags no subcommand takes (--bits after a valid
+# --digits too), a non-integer position, a choice outside its list
 STRAY_FLAGS = [["--threads", "2"], ["--digits", "20", "--bits", "30"], ["--pos", "x"],
                ["--format", "xml"]]
 
