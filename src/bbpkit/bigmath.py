@@ -10,14 +10,14 @@ across threads.
 
 Rounding is one rule with one owner, the private ``_truncated``: truncate
 toward zero, round the error bound up, and add one ulp when any bit was
-dropped.  ``mul``, ``scale_rat``, ``rescale`` and ``from_fraction`` each reach
-their result through it; it alone refuses a negative width, and it shifts by
-powers of two and divides by a rational's denominator alone.  A certified
-value asked for at ``prec_bits`` comes back at exactly ``prec_bits +
-GUARD_BITS`` fraction bits, and a nested call passes its own ``prec_bits``
-down, so guards never stack.  ``precision_cache`` memoizes a function of a
-key and a precision under that contract, serving lower precisions from the
-highest one computed.
+dropped.  ``mul``, ``scale_rat`` and ``rescale`` each reach their result
+through it, and a rational is ``from_int(1).scale_rat``; it alone refuses a
+negative width, and it shifts by powers of two and divides by a rational's
+denominator alone.  A certified value asked for at ``prec_bits`` comes back
+at exactly ``prec_bits + GUARD_BITS`` fraction bits, and a nested call
+passes its own ``prec_bits`` down, so guards never stack.
+``precision_cache`` memoizes a function of a key and a precision under that
+contract, serving lower precisions from the highest one computed.
 """
 from __future__ import annotations
 
@@ -133,10 +133,6 @@ class FixReal(_Fields):
     @classmethod
     def from_int(cls, n: int, frac_bits: int = 0) -> "FixReal":
         return cls(n << frac_bits, frac_bits, 0)
-
-    @classmethod
-    def from_fraction(cls, value: Fraction, frac_bits: int) -> "FixReal":
-        return _truncated(value.numerator, -frac_bits, frac_bits, 0, value.denominator)
 
     @classmethod
     def zero(cls, frac_bits: int = 0) -> "FixReal":

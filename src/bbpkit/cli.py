@@ -90,7 +90,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_digits(args: argparse.Namespace) -> int:
-    result = extract(ExtractRequest(_resolve_formula(args), args.pos, args.count, args.guard))
+    result = extract(ExtractRequest(_resolve_formula(args), args.pos, args.count))
     if args.format == "json-lines":
         print(json.dumps({"pos": args.pos, "digits": result.digits,
                           "confidence_bits": result.confidence_bits}))
@@ -224,7 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--formula", default=None, help="inline P(...) text")
     p.add_argument("--pos", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--guard", type=int, default=8, help="extra guard hex digits")
     p.set_defaults(func=_cmd_digits)
 
     p = subs.add_parser("gen", help="generate the formula for a polylog point")

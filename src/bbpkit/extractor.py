@@ -4,7 +4,8 @@ Hex digits of a formula value starting at an arbitrary bit position after the
 binary point, without computing the preceding digits.  The digits are read
 modulo one from ``pformula._scaled_sum`` at the bit position: the one
 certified series sum, which ``evaluate`` takes at position 0, with each group
-of terms floored once at the working resolution.  Everything is done in bits
+of terms floored once at the working resolution, and taken once more with
+more guard digits when it lands near a carry.  Everything is done in bits
 internally; hex is only the presentation layer.
 
 Partial sums of disjoint block ranges add modulo one, so a deep request
@@ -35,14 +36,14 @@ __all__ = [
     "digit_window",
     "MAX_BIT_POS",
     "MAX_HEX_DIGITS",
-    "MAX_GUARD_HEX",
 ]
 
 # Request limits: ExtractRequest refuses a deeper position or a wider window.
 MAX_BIT_POS = 10**8
 MAX_HEX_DIGITS = 1024
-MAX_GUARD_HEX = 64
 
+GUARD_HEX = 8  # hex digits summed past the window
+RETRY_GUARD_HEX = 64  # the same, for the one retry of a sum near a carry boundary
 SIGN_PROBE_BITS = 64
 # processes a deep request is split across, and the fewest nonzero terms each
 # one sums: about 16 to 35 ms of head loop, against some 2 ms to fork and reap
@@ -56,7 +57,7 @@ class ExtractionError(ValueError):
 
 
 class ConfidenceError(ExtractionError):
-    """Result too close to a carry boundary; retry with a larger guard."""
+    """Result too close to a carry boundary at both guard widths, or unsigned."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,15 +65,12 @@ class ExtractRequest:
     formula: PFormula
     bit_pos: int
     hex_digits: int
-    guard_hex: int = 8
 
     def __post_init__(self) -> None:
         if not 0 <= self.bit_pos <= MAX_BIT_POS:
             raise ExtractionError(f"bit position must be in [0, {MAX_BIT_POS}]")
         if not 1 <= self.hex_digits <= MAX_HEX_DIGITS:
             raise ExtractionError(f"hex digit count must be in [1, {MAX_HEX_DIGITS}]")
-        if not 1 <= self.guard_hex <= MAX_GUARD_HEX:
-            raise ExtractionError(f"guard must be in [1, {MAX_GUARD_HEX}] hex digits")
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,29 +93,30 @@ def extract(req: ExtractRequest) -> ExtractResult:
     The digits always describe the magnitude; the sign of the value is
     certified by evaluation.  Each group of terms is floored once and charges
     one ulp to the error budget, plus two for the dropped tail and the sign
-    flip.  Raises FormulaError when ``pformula._blocks`` refuses the sum
-    (before it starts) or a sign probe, and ConfidenceError when the
-    accumulator lands within that budget of a carry boundary, or when the
-    sign stays unresolved at bit_pos + 4*(hex_digits + guard_hex) + 64 bits;
-    the sign is never guessed.
+    flip.  An accumulator within that budget of a carry boundary at
+    ``GUARD_HEX`` guard digits is summed again at ``RETRY_GUARD_HEX``, and the
+    width that certifies sizes the sign probe and ``confidence_bits``.  Raises
+    FormulaError when ``pformula._blocks`` refuses a sum (before it starts) or
+    a sign probe, and ConfidenceError when both sums land near a boundary, or
+    when the sign stays unresolved at bit_pos + work + 64 bits; the sign is
+    never guessed.
     """
     p = to_extractable(req.formula)
     if p.is_zero():
-        return ExtractResult("0" * req.hex_digits, 4 * req.guard_hex)
-    work = 4 * (req.hex_digits + req.guard_hex)
-    mask = (1 << work) - 1
-    blocks, terms = _blocks(p, req.bit_pos, work)
-    acc, groups = _split(partial(_scaled_sum, p, req.bit_pos, work), blocks, terms, mask)
-    err = groups + 2  # the dropped tail and the sign flip
-
-    tail_bits = 4 * req.guard_hex
-    low = acc & ((1 << tail_bits) - 1)
-    margin = min(low, (1 << tail_bits) - low) - err  # negation keeps the distance
-    if margin <= 0:
-        raise ConfidenceError(
-            f"accumulator within {err} ulps of a carry boundary; "
-            f"retry with guard_hex > {req.guard_hex}"
-        )
+        return ExtractResult("0" * req.hex_digits, 4 * GUARD_HEX)
+    for guard in (GUARD_HEX, RETRY_GUARD_HEX):
+        work = 4 * (req.hex_digits + guard)
+        mask = (1 << work) - 1
+        blocks, terms = _blocks(p, req.bit_pos, work)
+        acc, groups = _split(partial(_scaled_sum, p, req.bit_pos, work), blocks, terms, mask)
+        err = groups + 2  # the dropped tail and the sign flip
+        tail_bits = 4 * guard
+        low = acc & ((1 << tail_bits) - 1)
+        margin = min(low, (1 << tail_bits) - low) - err  # negation keeps the distance
+        if margin > 0:
+            break
+    else:
+        raise ConfidenceError(f"accumulator within {err} ulps of a carry boundary at {guard} guard digits")
     # a certified margin puts |2^pos * value| at least one ulp from zero, so
     # doubling the probe precision up to that ulp plus 64 bits finds the sign
     limit = req.bit_pos + work + SIGN_PROBE_BITS

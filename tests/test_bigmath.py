@@ -16,6 +16,8 @@ from bbpkit.bigmath import (
     tdiv,
 )
 
+ONE = FixReal.from_int(1)  # a rational at f fraction bits is ONE.scale_rat(value, f)
+
 
 def test_tdiv_truncates_toward_zero():
     assert tdiv(7, 2) == 3
@@ -120,14 +122,14 @@ def test_fix_add_error_bounds_add():
 
 
 def test_fix_mul_quarter():
-    half = FixReal.from_fraction(Fraction(1, 2), 8)
+    half = ONE.scale_rat(Fraction(1, 2), 8)
     q = half.mul(half, 8)
     assert q.mantissa == 64 and q.frac_bits == 8
     assert q.err_ulp <= 1
 
 
 def test_fix_mul_identity_within_ulp():
-    x = FixReal.from_fraction(Fraction(355, 113), 64)
+    x = ONE.scale_rat(Fraction(355, 113), 64)
     one = FixReal.from_int(1, 8)
     y = x.mul(one, 64)
     assert abs(y.mantissa - x.mantissa) <= 1
@@ -135,16 +137,16 @@ def test_fix_mul_identity_within_ulp():
 
 
 def test_fix_mul_third_squared_matches_ninth():
-    third = FixReal.from_fraction(Fraction(1, 3), 64)
+    third = ONE.scale_rat(Fraction(1, 3), 64)
     squared = third.mul(third, 64)
-    ninth = FixReal.from_fraction(Fraction(1, 9), 64)
+    ninth = ONE.scale_rat(Fraction(1, 9), 64)
     diff = squared - ninth
     assert abs(diff.value_fraction()) <= diff.error_fraction()
 
 
-def test_from_fraction_exactness_flag():
-    assert FixReal.from_fraction(Fraction(3, 4), 8).err_ulp == 0
-    assert FixReal.from_fraction(Fraction(1, 3), 8).err_ulp == 1
+def test_fraction_from_one_exactness_flag():
+    assert ONE.scale_rat(Fraction(3, 4), 8).err_ulp == 0
+    assert ONE.scale_rat(Fraction(1, 3), 8).err_ulp == 1
 
 
 def test_rational_field_round_trip():
@@ -156,9 +158,9 @@ def test_rational_field_round_trip():
 
 
 def test_decimal_rendering():
-    x = FixReal.from_fraction(Fraction(1, 3), 200)
+    x = ONE.scale_rat(Fraction(1, 3), 200)
     assert x.decimal(12) == "0.333333333333"
-    y = FixReal.from_fraction(Fraction(-7, 2), 16)
+    y = ONE.scale_rat(Fraction(-7, 2), 16)
     assert y.decimal(3) == "-3.500"
 
 
@@ -175,7 +177,7 @@ def _expr_tree(draw, depth=0):
     if depth >= 3 or draw(st.booleans()):
         fr = draw(_scalars)
         bits = draw(st.integers(min_value=8, max_value=96))
-        return FixReal.from_fraction(fr, bits), fr
+        return ONE.scale_rat(fr, bits), fr
     left, lf = draw(_expr_tree(depth + 1))
     right, rf = draw(_expr_tree(depth + 1))
     op = draw(st.sampled_from(["add", "sub", "mul", "scale"]))
@@ -202,7 +204,7 @@ def test_error_discipline_against_exact_arithmetic(pair):
 def test_error_discipline_against_guarded_reevaluation(pair):
     # a 64-bit-finer rescale must stay inside the declared bound as well
     value, exact = pair
-    finer = FixReal.from_fraction(exact, value.frac_bits + 64)
+    finer = ONE.scale_rat(exact, value.frac_bits + 64)
     diff = value - finer
     assert abs(diff.value_fraction()) <= diff.error_fraction()
 
@@ -276,7 +278,7 @@ def test_fixreal_ops_match_the_exact_rule(data):
     assert _triple(got) == _rule(xa, ea, out)
     assert _certifies(got, xa - ea) and _certifies(got, xa + ea)
 
-    got = FixReal.from_fraction(ratio, out)
+    got = ONE.scale_rat(ratio, out)
     assert _triple(got) == _rule(ratio, Fraction(0), out)
     assert _certifies(got, ratio)
 
@@ -285,8 +287,7 @@ def test_fixreal_ops_match_the_exact_rule(data):
     lambda x: x.mul(x, -1),
     lambda x: x.scale_rat(Fraction(3, 5), -1),
     lambda x: x.rescale(-1),
-    lambda x: FixReal.from_fraction(Fraction(3, 5), -1),
-], ids=["mul", "scale_rat", "rescale", "from_fraction"])
+], ids=["mul", "scale_rat", "rescale"])
 def test_every_rounding_op_refuses_a_negative_width(op):
     with pytest.raises(ValueError, match="out_bits must be non-negative"):
         op(FixReal(-12345, 7, 3))
@@ -297,7 +298,7 @@ def test_every_rounding_op_refuses_a_negative_width(op):
 def test_precision_cache_hit_matches_the_exact_rule(x, high, low):
     @precision_cache()
     def value(key: Fraction, prec_bits: int) -> FixReal:
-        return FixReal.from_fraction(key, prec_bits + GUARD_BITS)
+        return ONE.scale_rat(key, prec_bits + GUARD_BITS)
 
     low = min(low, high)
     stored = value(x, high)

@@ -172,6 +172,8 @@ USAGE_MESSAGES = {
     ("gen", "--point", "ReLi(1, 1, 3/4)", "--len", "5"):
         "target length 5 is not a multiple of the period 8",
     ("eval", "1 * pi", "--bits", "30"): "unrecognized arguments: --bits 30",
+    ("digits", "--formula", "P(1, 2^1, 1, [1])", "--pos", "0", "--count", "8", "--guard", "8"):
+        "unrecognized arguments: --guard 8",
 }
 
 
@@ -228,12 +230,11 @@ def test_digits_position_over_limit_exit_code(capsys):
     assert err.count("\n") == 1 and "bit position" in err
 
 
-def test_digits_count_and_guard_over_limit_exit_code(capsys):
-    for flags in (("--count", "100000"), ("--count", "8", "--guard", "100000")):
-        code, _, err = run(capsys, "digits", "--formula", "P(1, 2^1, 1, [1])",
-                           "--pos", "0", *flags)
-        assert code == 2
-        assert err.count("\n") == 1
+def test_digits_count_over_limit_exit_code(capsys):
+    code, _, err = run(capsys, "digits", "--formula", "P(1, 2^1, 1, [1])",
+                       "--pos", "0", "--count", "100000")
+    assert code == 2
+    assert err.count("\n") == 1
 
 
 def test_argparse_usage_exit_code(capsys):
@@ -389,10 +390,10 @@ def test_extraction_past_the_work_budget_exit_code(capsys):
     t0 = time.perf_counter()
     code, out, err = run(capsys, "digits", "--formula",
                          "65537/1 * P(64, 2^1, 3, [65537, 65537, 4096])",
-                         "--pos", "100000000", "--count", "1024", "--guard", "64")
+                         "--pos", "100000000", "--count", "1024")
     assert time.perf_counter() - t0 < 1
     assert code == 2 and out == ""
-    assert err.count("\n") == 1 and f"series work 19200842304 above {MAX_WORK}" in err
+    assert err.count("\n") == 1 and f"series work 19200799296 above {MAX_WORK}" in err
 
 
 LONG_TABLE = f"1 * P(64, 2^1, 1000, [{', '.join(['1'] * 1000)}])"

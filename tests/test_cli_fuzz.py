@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import bbpkit
 from bbpkit.catalog import MAX_MONOMIAL_POWER, bits_for_digits, default_catalog
 from bbpkit.cli import MAX_DIGITS
-from bbpkit.extractor import MAX_BIT_POS, MAX_GUARD_HEX, MAX_HEX_DIGITS
+from bbpkit.extractor import MAX_BIT_POS, MAX_HEX_DIGITS
 from bbpkit.pformula import MAX_DEGREE, MAX_POWER_BITS
 from bbpkit.relations import check_work
 
@@ -117,7 +117,7 @@ def _precision(draw) -> list[str]:
 # argv that argparse refuses: flags no subcommand takes (--bits after a valid
 # --digits too), a non-integer position, a choice outside its list
 STRAY_FLAGS = [["--threads", "2"], ["--digits", "20", "--bits", "30"], ["--pos", "x"],
-               ["--format", "xml"]]
+               ["--format", "xml"], ["--guard", "8"]]
 
 
 def _args(subcommand: str, catalog_dir) -> st.SearchStrategy[list[str]]:
@@ -149,7 +149,6 @@ def _args(subcommand: str, catalog_dir) -> st.SearchStrategy[list[str]]:
             return ["digits", *target, *cat,
                     "--pos", str(draw(_slots(10**5, MAX_BIT_POS + 1))),
                     "--count", str(draw(_slots(MAX_HEX_DIGITS, MAX_HEX_DIGITS + 1))),
-                    "--guard", str(draw(_slots(MAX_GUARD_HEX, MAX_GUARD_HEX + 1))),
                     "--format", draw(st.sampled_from(["text", "json-lines"]))]
         if subcommand == "gen":
             length = draw(st.one_of(st.just([]), _slots(1 << 12).map(lambda n: ["--len", str(n)])))

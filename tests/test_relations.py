@@ -17,6 +17,8 @@ from bbpkit.reference import ConstMonomial, const_value
 from bbpkit.relations import (MAX_PSLQ_WORK, PrecisionExhausted, RelationResult, _PackedColumns,
                               _pack, _pair_count, _pick_pairs, _quotient_ranges, check_work, pslq)
 
+ONE = FixReal.from_int(1)  # a rational at f fraction bits is ONE.scale_rat(value, f)
+
 
 def test_certify_pi_minus_pi():
     residual = evaluate_expr(parse_expr("1 * pi + -1 * pi"), bits_for_digits(100))
@@ -38,15 +40,15 @@ def test_certify_monotone_in_precision():
 
 
 def test_pslq_unit_pair():
-    vals = [FixReal.from_fraction(Fraction(1), 256), FixReal.from_fraction(Fraction(1), 256)]
+    vals = [ONE.scale_rat(Fraction(1), 256), ONE.scale_rat(Fraction(1), 256)]
     rep = pslq(vals, 10, 256)
     assert rep.status == "found"
     assert rep.relation.coeffs == (1, -1)
 
 
 def test_pslq_finds_a_multiple_of_a_rational():
-    vals = [FixReal.from_fraction(Fraction(355, 113), 256),
-            FixReal.from_fraction(Fraction(710, 113), 256)]
+    vals = [ONE.scale_rat(Fraction(355, 113), 256),
+            ONE.scale_rat(Fraction(710, 113), 256)]
     rep = pslq(vals, 10**6, 256)
     assert rep.relation.coeffs == (2, -1)
 
@@ -54,7 +56,7 @@ def test_pslq_finds_a_multiple_of_a_rational():
 def test_pslq_planted_multiples():
     rng = random.Random(5)
     x = Fraction(rng.randrange(10**15, 10**18), rng.randrange(10**15, 10**18))
-    vals = [FixReal.from_fraction(k * x, 384) for k in (1, 2, 3)]
+    vals = [ONE.scale_rat(k * x, 384) for k in (1, 2, 3)]
     rep = pslq(vals, 100, 384)
     assert rep.status == "found"
     c = rep.relation.coeffs
@@ -74,7 +76,7 @@ def test_pslq_planted_random_norm_100():
         planted[-1] = 1
     base[-1] = last / planted[-1]
     bits = 680  # 200-digit working precision
-    vals = [FixReal.from_fraction(b, bits) for b in base]
+    vals = [ONE.scale_rat(b, bits) for b in base]
     rep = pslq(vals, 10**4, bits)
     assert rep.status == "found"
     c = rep.relation.coeffs
@@ -83,7 +85,7 @@ def test_pslq_planted_random_norm_100():
 
 
 def test_pslq_normalization():
-    vals = [FixReal.from_fraction(Fraction(2), 256), FixReal.from_fraction(Fraction(1), 256)]
+    vals = [ONE.scale_rat(Fraction(2), 256), ONE.scale_rat(Fraction(1), 256)]
     rep = pslq(vals, 10, 256)
     c = rep.relation.coeffs
     from math import gcd
@@ -105,7 +107,7 @@ def test_pslq_exclusion_bound():
 
 
 def test_pslq_found_relation_residual_threshold():
-    vals = [FixReal.from_fraction(Fraction(3, 7), 320), FixReal.from_fraction(Fraction(9, 14), 320)]
+    vals = [ONE.scale_rat(Fraction(3, 7), 320), ONE.scale_rat(Fraction(9, 14), 320)]
     rep = pslq(vals, 100, 320)
     assert rep.relation is not None
     assert rep.relation.residual.certified_below(Fraction(1, 1 << 160))
