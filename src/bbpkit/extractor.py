@@ -1,21 +1,31 @@
 """Position-addressable digit extraction.
 
 Hex digits of a formula value starting at an arbitrary bit position after the
-binary point, without computing the preceding digits.  The digits are read
-modulo one from ``pformula._scaled_sum`` at the bit position: the one
-certified series sum, which ``evaluate`` takes at position 0, with each group
-of terms floored once at the working resolution, and taken once more with
-more guard digits when it lands near a carry.  Everything is done in bits
-internally; hex is only the presentation layer.
+binary point, without computing the preceding digits.  Everything is done in
+bits internally; hex is only the presentation layer.  One of two readers of
+the one certified series sum, ``pformula._scaled_sum``, reads the window,
+and reads it once more with more guard digits when it lands near a carry.
 
-Partial sums of disjoint block ranges add modulo one, so a deep request
-splits its blocks into up to ``SHARDS`` contiguous ranges of equal length:
-the calling process sums the first and one forked child each of the others.
-A request stays in one process when ``os.fork`` is missing, when another
-thread is alive, or when a range would hold fewer than ``SHARD_MIN_TERMS``
-nonzero terms.  A child that fails or writes malformed output has its range
-summed again by the caller, so the digits never depend on a child; each
-range opens its own groups, and the certificate charges every group.
+A request whose widest window, its retry included, ends below
+``SHALLOW_BITS`` reads the value ``evaluate`` caches, the sum at position 0,
+asked at a precision rounded up to ``PREC_QUANTUM`` bits so that the next
+windows in the same band hit the same entry.  Up to ``POW_MIN_EXP`` both sums
+divide the same groups at the same width, and below twice that bit ``pow``
+saves the position sum little, so a cold read costs about the same; its
+evaluations stay below 2^13 bits, which ``_blocks`` charges width factor 1
+like every extraction.  A request whose cached evaluation ``_blocks`` would
+refuse takes the position sum, which needs fewer blocks.
+
+Deeper requests read the sum modulo one at the bit position, with each group
+of terms floored once at the working resolution.  Partial sums of disjoint
+block ranges add modulo one, so a deep request splits its blocks into up to
+``SHARDS`` contiguous ranges of equal length: the calling process sums the
+first and one forked child each of the others.  A request stays in one
+process when ``os.fork`` is missing, when another thread is alive, or when a
+range would hold fewer than ``SHARD_MIN_TERMS`` nonzero terms.  A child that
+fails or writes malformed output has its range summed again by the caller,
+so the digits never depend on a child; each range opens its own groups, and
+the certificate charges every group.
 """
 from __future__ import annotations
 
@@ -25,7 +35,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .pformula import FormulaError, PFormula, _blocks, _scaled_sum, evaluate
+from .bigmath import GUARD_BITS
+from .pformula import POW_MIN_EXP, FormulaError, PFormula, _blocks, _scaled_sum, evaluate
 
 __all__ = [
     "ExtractRequest",
@@ -45,6 +56,8 @@ MAX_HEX_DIGITS = 1024
 GUARD_HEX = 8  # hex digits summed past the window
 RETRY_GUARD_HEX = 64  # the same, for the one retry of a sum near a carry boundary
 SIGN_PROBE_BITS = 64
+SHALLOW_BITS = 2 * POW_MIN_EXP  # a window ending below this bit is read off the cached evaluate
+PREC_QUANTUM = 256  # the cached reader asks evaluate for a multiple of this many bits
 # processes a deep request is split across, and the fewest nonzero terms each
 # one sums: about 16 to 35 ms of head loop, against some 2 ms to fork and reap
 SHARDS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -90,26 +103,39 @@ def to_extractable(p: PFormula) -> PFormula:
 def extract(req: ExtractRequest) -> ExtractResult:
     """Hex digits of frac(2^bit_pos * |value|), with a carry-distance certificate.
 
-    The digits always describe the magnitude; the sign of the value is
-    certified by evaluation.  Each group of terms is floored once and charges
-    one ulp to the error budget, plus two for the dropped tail and the sign
-    flip.  An accumulator within that budget of a carry boundary at
-    ``GUARD_HEX`` guard digits is summed again at ``RETRY_GUARD_HEX``, and the
-    width that certifies sizes the sign probe and ``confidence_bits``.  Raises
-    FormulaError when ``pformula._blocks`` refuses a sum (before it starts) or
-    a sign probe, and ConfidenceError when both sums land near a boundary, or
-    when the sign stays unresolved at bit_pos + work + 64 bits; the sign is
-    never guessed.
+    The digits always describe the magnitude.  ``work`` bits are read past
+    bit_pos, ``GUARD_HEX`` guard digits beyond the window, by one reader
+    chosen once per request (see the module docstring):
+
+    - shallow: ``evaluate`` at bit_pos + work, asked of its cache at that
+      rounded up to ``PREC_QUANTUM``; its ``err_ulp`` is the budget, and a
+      certified margin puts |mantissa| above it, which certifies the sign.
+    - deep: the position sum, each group floored once and charged one ulp,
+      plus two for the dropped tail and the sign flip; the sign is certified
+      by evaluation, a 64-bit probe doubled up to bit_pos + work + 64 bits.
+
+    A reading within its budget of a carry boundary is read again at
+    ``RETRY_GUARD_HEX``, and the width that certifies sets
+    ``confidence_bits``.  Raises FormulaError when ``pformula._blocks``
+    refuses a sum (before it starts) or a sign probe, and ConfidenceError
+    when both widths land near a boundary, or when the sign stays
+    unresolved; the sign is never guessed.
     """
     p = to_extractable(req.formula)
     if p.is_zero():
         return ExtractResult("0" * req.hex_digits, 4 * GUARD_HEX)
+    cached = _reads_cache(p, req.bit_pos + 4 * (req.hex_digits + RETRY_GUARD_HEX))
     for guard in (GUARD_HEX, RETRY_GUARD_HEX):
         work = 4 * (req.hex_digits + guard)
         mask = (1 << work) - 1
-        blocks, terms = _blocks(p, req.bit_pos, work)
-        acc, groups = _split(partial(_scaled_sum, p, req.bit_pos, work), blocks, terms, mask)
-        err = groups + 2  # the dropped tail and the sign flip
+        if cached:
+            frac = req.bit_pos + work
+            value = evaluate(p, _quantized(frac) - GUARD_BITS).rescale(frac)
+            acc, err = value.mantissa & mask, value.err_ulp
+        else:
+            blocks, terms = _blocks(p, req.bit_pos, work)
+            acc, groups = _split(partial(_scaled_sum, p, req.bit_pos, work), blocks, terms, mask)
+            err = groups + 2  # the dropped tail and the sign flip
         tail_bits = 4 * guard
         low = acc & ((1 << tail_bits) - 1)
         margin = min(low, (1 << tail_bits) - low) - err  # negation keeps the distance
@@ -117,11 +143,12 @@ def extract(req: ExtractRequest) -> ExtractResult:
             break
     else:
         raise ConfidenceError(f"accumulator within {err} ulps of a carry boundary at {guard} guard digits")
-    # a certified margin puts |2^pos * value| at least one ulp from zero, so
-    # doubling the probe precision up to that ulp plus 64 bits finds the sign
+    # a certified margin puts |2^pos * value| at least one ulp from zero, so the
+    # cached mantissa's sign is certified, and doubling the probe precision up
+    # to that ulp plus 64 bits finds the sign
     limit = req.bit_pos + work + SIGN_PROBE_BITS
     bits = SIGN_PROBE_BITS
-    sign = evaluate(p, bits).certified_sign()
+    sign = value.certified_sign() if cached else evaluate(p, bits).certified_sign()
     while sign == 0 and bits < limit:
         bits = min(2 * bits, limit)
         sign = evaluate(p, bits).certified_sign()
@@ -131,6 +158,24 @@ def extract(req: ExtractRequest) -> ExtractResult:
         acc = -acc & mask
     digits = f"{acc >> tail_bits:0{req.hex_digits}X}"
     return ExtractResult(digits, margin.bit_length())
+
+
+def _quantized(bits: int) -> int:
+    """bits rounded up to a multiple of PREC_QUANTUM."""
+    return -(-bits // PREC_QUANTUM) * PREC_QUANTUM
+
+
+def _reads_cache(p: PFormula, widest: int) -> bool:
+    """Whether a request whose widest window ends at bit ``widest`` is read
+    off the cached evaluate: below SHALLOW_BITS, and when ``_blocks`` admits
+    the evaluation at its widest."""
+    if widest >= SHALLOW_BITS:
+        return False
+    try:
+        _blocks(p, 0, _quantized(widest))
+    except FormulaError:
+        return False
+    return True
 
 
 Head = Callable[[int, int], tuple[int, int]]

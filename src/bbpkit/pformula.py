@@ -12,10 +12,11 @@ first nonzero coefficient positive), the two value-preserving structural
 transforms (stretch: index dilation; rebase: grouping of consecutive base
 blocks), alignment of several formulas onto one common header, rational
 linear combination, and the one certified series sum: ``_scaled_sum`` floors
-each group of terms of 2^pos * value once at a working precision.  Digit
-extraction reads it modulo one at its bit position; evaluation is the same
-sum at position 0.  ``_blocks`` sizes the sum for both and refuses one past
-MAX_WORK before it starts.
+each group of terms of 2^pos * value once at a working precision.
+Evaluation is the sum at position 0; digit extraction reads a shallow window
+off that cached value and a deep one modulo one from the sum at its bit
+position.  ``_blocks`` sizes the sum for both and refuses one past MAX_WORK
+before it starts.
 
 Formulas produced from imaginary parts at angle pi/3 carry an extra sqrt(3)
 factor; it is tracked by the ``root3`` flag, kept out of the integer
@@ -453,7 +454,7 @@ def _blocks(p: PFormula, pos: int, work: int) -> tuple[int, int]:
     whose bit length is at most pos plus that of the quotient's floor.  Each
     term multiplies a (k*l + j)^degree modulus into its group, and each group
     divides a number up to work bits wide, which the last factor charges past
-    2^13 bits; an extraction (at most 4352 bits) is charged factor 1.
+    2^13 bits; an extraction (at most 6144 bits) is charged factor 1.
     """
     bound = abs(p.pre.numerator) * sum(abs(a) for a in p.coeffs) << (work + 1)
     blocks = -(-(pos + (bound // p.pre.denominator).bit_length()) // p.base_exp)

@@ -49,7 +49,7 @@ def small_formulas(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(small_formulas(), st.integers(0, 5000))
+@given(small_formulas(), st.integers(0, 8000))
 def test_extract_agrees_with_mpmath_direct_sum(p, pos):
     window, distance = oracle_window(p, pos)
     try:

@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from bbpkit import extractor, pformula
 from bbpkit.catalog import default_catalog, derive_bbp
 from bbpkit.extractor import (
     GUARD_HEX,
     MAX_BIT_POS,
     MAX_HEX_DIGITS,
     RETRY_GUARD_HEX,
+    SHALLOW_BITS,
+    ConfidenceError,
     ExtractRequest,
     ExtractionError,
     digit_window,
@@ -22,6 +25,15 @@ from bbpkit.pformula import (MAX_WORK, FormulaError, PFormula, _blocks, evaluate
 TWO_LOG_TWO = parse_p("P(1, 2^1, 1, [1])")
 
 
+@pytest.fixture(params=["cached", "summed"])
+def reader(request, monkeypatch):
+    """Runs a shallow-position test on both readers: the cached evaluate as
+    is, and the position sum with SHALLOW_BITS at 0."""
+    if request.param == "summed":
+        monkeypatch.setattr(extractor, "SHALLOW_BITS", 0)
+
+
+@pytest.mark.usefixtures("reader")
 def test_two_log_two_leading_window():
     # frac(2 log 2) = 0.62E42FEFA39E... in hex
     assert digit_window(TWO_LOG_TWO, 0, 8, 128) == "62E42FEF"
@@ -55,6 +67,7 @@ def test_window_requires_precision():
         digit_window(TWO_LOG_TWO, 100, 8, 128)
 
 
+@pytest.mark.usefixtures("reader")
 def test_extract_matches_window_on_sample_formulas():
     rng = random.Random(99)
     formulas = [
@@ -72,6 +85,7 @@ def test_extract_matches_window_on_sample_formulas():
             assert got == want, (f, pos)
 
 
+@pytest.mark.usefixtures("reader")
 def test_extract_matches_window_across_the_catalog():
     # twenty (formula, position) samples drawn from derived catalog formulas,
     # positions up to 2e4; one full-precision evaluation per formula feeds the
@@ -104,17 +118,18 @@ def test_extract_matches_window_across_the_catalog():
     assert checked == 20
 
 
+@pytest.mark.usefixtures("reader")
 def test_extract_position_shift_drops_leading_digit():
     r0 = extract(ExtractRequest(TWO_LOG_TWO, 0, 8))
     r4 = extract(ExtractRequest(TWO_LOG_TWO, 4, 8))
     assert r4.digits[:7] == r0.digits[1:]
 
 
+@pytest.mark.usefixtures("reader")
 def test_zero_relation_vector_has_no_extractable_digits():
     # a formula whose value is exactly zero sits on the carry boundary, so the
     # confidence certificate must refuse rather than report digits
     from bbpkit.catalog import default_catalog
-    from bbpkit.extractor import ConfidenceError
     from bbpkit.pformula import canonicalize
 
     vec = canonicalize(default_catalog().get("zero-deg2-2e12-b-table").rhs.terms[0][1])
@@ -122,6 +137,7 @@ def test_zero_relation_vector_has_no_extractable_digits():
         extract(ExtractRequest(vec, 100, 8))
 
 
+@pytest.mark.usefixtures("reader")
 def test_value_near_a_carry_is_summed_again_with_more_guard_digits():
     # 2^64 log(1/(1 - 2^-64)) = 1 + 2^-65 + ...: the first sum's guard digits
     # are all zero and within the error budget of a carry boundary, so only
@@ -133,11 +149,13 @@ def test_value_near_a_carry_is_summed_again_with_more_guard_digits():
         assert r.confidence_bits > 4 * GUARD_HEX, text
 
 
+@pytest.mark.usefixtures("reader")
 def test_extract_deterministic():
     req = ExtractRequest(TWO_LOG_TWO, 1234, 8)
     assert extract(req) == extract(req)
 
 
+@pytest.mark.usefixtures("reader")
 def test_extract_odd_prime_denominator_matches_window():
     # the odd factor joins every modulus; a power-of-two prefactor takes the same path
     for text, pos in (("1/7 * P(3, 2^6, 3, [9, 0, -2])", 900),
@@ -147,12 +165,14 @@ def test_extract_odd_prime_denominator_matches_window():
         assert extract(ExtractRequest(f, pos, 8)).digits == digit_window(f, pos, 8, pos + 128)
 
 
+@pytest.mark.usefixtures("reader")
 def test_extract_odd_denominator_matches_window():
     f = parse_p("1/6 * P(2, 2^4, 2, [3, -1])")
     for pos in (0, 1, 100, 777):
         assert extract(ExtractRequest(f, pos, 8)).digits == digit_window(f, pos, 8, pos + 128)
 
 
+@pytest.mark.usefixtures("reader")
 def test_extract_folds_odd_denominator_into_modulus():
     # stretching by the odd factor clears the denominator at unchanged value;
     # extraction must give the same digits with and without that detour
@@ -167,6 +187,7 @@ def test_extract_folds_odd_denominator_into_modulus():
         assert extract(ExtractRequest(g, pos, 8)).digits == want
 
 
+@pytest.mark.usefixtures("reader")
 def test_extract_counts_a_group_whose_moduli_multiply_to_one():
     # (2/3) log 2 at bit 0: the odd part 3 of the prefactor joins the moduli
     f = PFormula(1, 1, 1, (1,), Fraction(1, 3))
@@ -180,6 +201,7 @@ def test_extract_counts_a_group_whose_moduli_multiply_to_one():
     assert abs(v.value_fraction() - Fraction(1, 3)) <= v.error_fraction()
 
 
+@pytest.mark.usefixtures("reader")
 def test_extract_matches_window_across_the_pow_switch():
     # the prefactor of deg5-zeta5-2e60 has a 16-bit odd part; from bit 2900 to
     # 3300 the deepest groups move from a direct division to pow(2, e, m)
@@ -193,6 +215,7 @@ def test_extract_matches_window_across_the_pow_switch():
         assert extract(ExtractRequest(f, pos, 8)).digits == want, pos
 
 
+@pytest.mark.usefixtures("reader")
 def test_tiny_negative_value_sign_is_certified():
     # |value| = 2^-199 log 2 is far below a 64-bit sign probe; the sign must be
     # certified at higher precision, not taken as positive
@@ -210,6 +233,7 @@ def test_to_extractable_rejects_root3():
         extract(ExtractRequest(f, 0, 8))
 
 
+@pytest.mark.usefixtures("reader")
 def test_negative_value_digits_describe_magnitude():
     f = parse_p("-1/16 * P(2, 2^4, 8, [8, 0, -4, 4, -2, 0, 1, -1])")
     for pos in (0, 7, 40):
@@ -248,3 +272,79 @@ def test_work_budget_refuses_a_deep_high_degree_request():
     assert _blocks(f, 10**5, WIDEST)[1] * 64 <= MAX_WORK
     with pytest.raises(FormulaError, match=f"series work [0-9]+ above {MAX_WORK}"):
         extract(ExtractRequest(f, MAX_BIT_POS, MAX_HEX_DIGITS))
+
+
+def test_a_request_whose_cached_evaluation_is_past_max_work_takes_the_position_sum(monkeypatch):
+    # 2 log 2 at bit 0: the position sum needs 66 blocks and its sign probe
+    # 130, the cached evaluation 258 at its first width and 514 at its retry's;
+    # a budget between them must still answer, as the position sum does
+    f = PFormula(1, 1, 1, (1,))
+    want = extract(ExtractRequest(f, 0, 8))
+    monkeypatch.setattr(pformula, "MAX_WORK", 200)
+    with pytest.raises(FormulaError, match="series work 258 above 200"):
+        _blocks(f, 0, 256)
+    assert extract(ExtractRequest(f, 0, 8)) == want
+    # a budget that refuses the position sum itself still refuses the request
+    monkeypatch.setattr(pformula, "MAX_WORK", 60)
+    with pytest.raises(FormulaError, match="series work 66 above 60"):
+        extract(ExtractRequest(f, 0, 8))
+
+
+def test_a_second_window_32_bits_deeper_is_served_by_the_cache():
+    # a formula no other test evaluates, at a position whose two windows and
+    # the 16-digit window ask the cache for the same 1280 bits
+    f = parse_p("-3/7 * P(2, 2^5, 3, [5, -1, 2])")
+    first = extract(ExtractRequest(f, 1000, 8))
+    hits, misses = evaluate.cache_info()
+    second = extract(ExtractRequest(f, 1032, 8))
+    both = extract(ExtractRequest(f, 1000, 16))
+    assert evaluate.cache_info() == (hits + 2, misses)
+    assert first.digits + second.digits == both.digits == digit_window(f, 1000, 16, 1200)
+
+
+def outcome(f, pos, count=8):
+    """(digits, confidence_bits) of one request, or None when it is refused."""
+    try:
+        r = extract(ExtractRequest(f, pos, count))
+    except ConfidenceError:
+        return None
+    return r.digits, r.confidence_bits
+
+
+DIFFERENTIAL_FORMULAS = [
+    "-5/2^3 * P(4, 2^8, 4, [64, -16, 0, 1])",  # negative
+    "-1/16 * P(2, 2^4, 8, [8, 0, -4, 4, -2, 0, 1, -1])",
+    "1/6 * P(2, 2^4, 2, [3, -1])",  # odd denominators
+    "1/7 * P(3, 2^6, 3, [9, 0, -2])",
+    "-5/48 * P(3, 2^6, 3, [9, 0, -2])",
+    "P(1, 2^64, 1, [1])",  # base 2^64: a near carry at bit 0
+    "-3/5 * P(2, 2^64, 2, [1, -1])",
+]
+
+
+def test_cached_and_summed_readers_agree_across_the_catalog():
+    # every extractable catalog formula, a few shapes the catalog lacks and a
+    # table of value zero, which both refuse, at seeded bits up to 8000 and at
+    # the last bit below the cut-off: the same digits and the same refusals,
+    # confidence_bits within one
+    from bbpkit.pformula import canonicalize
+
+    cat = default_catalog()
+    formulas = [derive_bbp(r) for r in cat if r.kind in ("bbp_ready", "printed_formula")]
+    assert len(formulas) == 33
+    formulas += [parse_p(text) for text in DIFFERENTIAL_FORMULAS]
+    formulas.append(canonicalize(cat.get("zero-deg2-2e12-b-table").rhs.terms[0][1]))
+    rng = random.Random(3131)
+    last = SHALLOW_BITS - 1 - 4 * (8 + RETRY_GUARD_HEX)
+    requests = [(f, pos, count) for f in formulas
+                for pos, count in [(0, 8), (last, 8), (rng.randrange(8001), 8),
+                                   (rng.randrange(8001), rng.choice((1, 13)))]]
+    cached = [outcome(*req) for req in requests]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extractor, "SHALLOW_BITS", 0)
+        summed = [outcome(*req) for req in requests]
+    for req, a, b in zip(requests, cached, summed):
+        assert (a is None) == (b is None), req
+        if a is not None:
+            assert a[0] == b[0] and abs(a[1] - b[1]) <= 1, (req, a, b)
+    assert 0 < sum(a is None for a in cached) < len(requests) // 10
